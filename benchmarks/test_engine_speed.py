@@ -27,9 +27,16 @@ import pytest
 
 from conftest import SCALE, print_table, scaled
 from repro.core import BoltOptions
-from repro.harness import build_workload, measure, run_bolt, sample_profile
+from repro.harness import build_workload, run_bolt
 from repro.harness.metrics import simulated_mips
-from repro.profiling import SamplingConfig
+from repro.harness.pipeline import DEFAULT_MAX_INSTRUCTIONS
+from repro.profiling import (
+    AddressMapper,
+    Sampler,
+    SamplingConfig,
+    aggregate_samples,
+)
+from repro.uarch import run_binary
 
 pytestmark = pytest.mark.perf
 
@@ -48,12 +55,16 @@ def _record(section, payload):
     _BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _run(exe, inputs, engine, sampler=None, fetch_heat=False):
+    return run_binary(exe, inputs=inputs, sampler=sampler,
+                      max_instructions=DEFAULT_MAX_INSTRUCTIONS,
+                      fetch_heat=fetch_heat, engine=engine)
+
+
 def _timed_run(built, engine, sampling=None):
+    sampler = Sampler(sampling) if sampling is not None else None
     t0 = time.perf_counter()
-    if sampling is None:
-        cpu = measure(built, engine=engine)
-    else:
-        _, cpu = sample_profile(built, sampling=sampling, engine=engine)
+    cpu = _run(built.exe, built.workload.inputs, engine, sampler=sampler)
     wall = time.perf_counter() - t0
     return cpu, wall
 
@@ -107,11 +118,15 @@ def test_end_to_end_experiment_wall():
 
     def leg(engine):
         t0 = time.perf_counter()
-        baseline = measure(built, fetch_heat=True, engine=engine)
-        profile, _ = sample_profile(built, engine=engine)
+        baseline = _run(built.exe, workload.inputs, engine, fetch_heat=True)
+        sampler = Sampler(SamplingConfig(period=251))
+        _run(built.exe, workload.inputs, engine, sampler=sampler)
+        profile = aggregate_samples(sampler.samples,
+                                    AddressMapper(built.exe),
+                                    build_id=built.exe.content_hash())
         result = run_bolt(built, profile, BoltOptions())
-        optimized = measure(result.binary, inputs=workload.inputs,
-                            fetch_heat=True, engine=engine)
+        optimized = _run(result.binary, workload.inputs, engine,
+                         fetch_heat=True)
         wall = time.perf_counter() - t0
         assert optimized.output == baseline.output
         return baseline, optimized, wall

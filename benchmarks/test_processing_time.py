@@ -214,68 +214,43 @@ def _synthetic_shards(n_shards, records_per_shard, seed=2024):
 
 @pytest.mark.aggregate
 def test_aggregation_throughput():
-    """merge-fdata throughput (BENCH_pr4.json): shards/second for
-    ``--threads 1`` vs ``--threads 4``, byte-identical output required.
-
-    Since PR 5 the pool only engages when the shard cache gives the
-    workers file I/O to overlap; plain in-memory aggregation is
-    GIL-bound pure Python, so ``--threads 4`` takes the serial path and
-    must not be measurably slower than ``--threads 1``."""
+    """merge-fdata throughput (BENCH_pr4.json): shards/second of
+    in-memory aggregation; repeated runs must merge identical bytes."""
     from repro.profiling import aggregate_shards, write_fdata
 
     n_shards = max(4, int(24 * SCALE))
     records = max(200, int(2000 * SCALE))
     shards = _synthetic_shards(n_shards, records)
 
-    # Interleave paired runs and take medians: the two configurations
-    # execute the same amount of work, so alternating them cancels the
-    # slow drift of a busy host that back-to-back min-of-N would fold
-    # into whichever configuration ran second.
-    aggregate_shards(shards, threads=1)  # warm-up (imports, allocator)
-    serial = threaded = None
-    samples_serial, samples_threaded = [], []
+    first = aggregate_shards(shards)  # warm-up (imports, allocator)
+    samples = []
     for _ in range(3):
         t0 = time.perf_counter()
-        serial = aggregate_shards(shards, threads=1)
-        samples_serial.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        threaded = aggregate_shards(shards, threads=4)
-        samples_threaded.append(time.perf_counter() - t0)
-    t_serial = sorted(samples_serial)[len(samples_serial) // 2]
-    t_threaded = sorted(samples_threaded)[len(samples_threaded) // 2]
-    # Parallelism must not change the merged bytes or the report.
-    assert write_fdata(serial.profile) == write_fdata(threaded.profile)
-    assert serial.to_json() == threaded.to_json()
+        result = aggregate_shards(shards)
+        samples.append(time.perf_counter() - t0)
+        assert write_fdata(result.profile) == write_fdata(first.profile)
+        assert result.to_json() == first.to_json()
+    t_serial = sorted(samples)[len(samples) // 2]
 
     serial_rate = n_shards / max(t_serial, 1e-9)
-    threaded_rate = n_shards / max(t_threaded, 1e-9)
     print_table(
         f"merge-fdata aggregation throughput "
         f"({n_shards} shards x {records} records)",
         ("configuration", "wall", "shards/s"),
-        [("serial", f"{t_serial:.3f}s", f"{serial_rate:.1f}"),
-         ("--threads 4", f"{t_threaded:.3f}s", f"{threaded_rate:.1f}")])
+        [("serial", f"{t_serial:.3f}s", f"{serial_rate:.1f}")])
     doc = {
         "scale": SCALE,
         "aggregation": {
             "shards": n_shards,
             "records_per_shard": records,
             "serial_s": round(t_serial, 4),
-            "threads4_s": round(t_threaded, 4),
             "serial_shards_per_s": round(serial_rate, 2),
-            "threads4_shards_per_s": round(threaded_rate, 2),
-            "merged_branch_records": len(serial.profile.branches),
+            "merged_branch_records": len(first.profile.branches),
         },
     }
     bench_path = _BENCH_PATH.with_name("BENCH_pr4.json")
     bench_path.write_text(json.dumps(doc, indent=2) + "\n")
-    assert serial_rate > 0 and threaded_rate > 0
-    # PR 5 acceptance: --threads must not lose to serial (10% noise
-    # margin; both configurations run the identical serial code path
-    # when no shard cache is configured).
-    assert threaded_rate >= serial_rate * 0.9, (
-        f"--threads 4 slower than serial: "
-        f"{threaded_rate:.1f} vs {serial_rate:.1f} shards/s")
+    assert serial_rate > 0
 
 
 def test_end_to_end_processing_time(monkeypatch):

@@ -63,8 +63,7 @@ def cmd_build(args):
 
 def cmd_run(args):
     exe = read_binary(pathlib.Path(args.binary).read_bytes())
-    cpu = run_binary(exe, max_instructions=args.max_instructions,
-                     engine=args.engine)
+    cpu = run_binary(exe, max_instructions=args.max_instructions)
     for value in cpu.output:
         print(value)
     print(f"exit code: {cpu.exit_code}", file=sys.stderr)
@@ -76,8 +75,7 @@ def cmd_profile(args):
     sampling = SamplingConfig(event=args.event, period=args.period,
                               use_lbr=not args.no_lbr)
     profile, cpu = profile_binary(exe, sampling=sampling,
-                                  max_instructions=args.max_instructions,
-                                  engine=args.engine)
+                                  max_instructions=args.max_instructions)
     pathlib.Path(args.output).write_text(write_fdata(profile))
     print(f"wrote {args.output}: {len(profile.branches)} branch records, "
           f"{len(profile.ip_samples)} sample sites "
@@ -100,7 +98,6 @@ def cmd_bolt(args):
         lint_suppress=tuple(args.suppress or ()),
         time_opts=args.time_opts,
         time_rewrite=args.time_rewrite,
-        threads=args.threads,
     )
     result = optimize_binary(exe, profile, options)
     pathlib.Path(args.output).write_bytes(write_binary(result.binary))
@@ -146,7 +143,6 @@ def cmd_merge_fdata(args):
         shards,
         weights=args.weight or None,
         binary=binary,
-        threads=args.threads,
         cache_dir=args.cache_dir,
         stale_downweight=args.stale_downweight,
         min_match_quality=args.min_match_quality,
@@ -183,8 +179,7 @@ def cmd_lint(args):
 
 def cmd_stat(args):
     exe = read_binary(pathlib.Path(args.binary).read_bytes())
-    cpu = run_binary(exe, max_instructions=args.max_instructions,
-                     engine=args.engine)
+    cpu = run_binary(exe, max_instructions=args.max_instructions)
     c = cpu.counters
     print(f"{'instructions':24s} {c.instructions:>14,}")
     print(f"{'cycles':24s} {c.cycles:>14,}")
@@ -256,9 +251,6 @@ def make_parser():
     p = sub.add_parser("run", help="execute a BELF binary")
     p.add_argument("binary")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("profile", help="sample a run; write .fdata")
@@ -269,9 +261,6 @@ def make_parser():
     p.add_argument("--period", type=int, default=251)
     p.add_argument("--no-lbr", action="store_true")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("bolt", help="post-link optimize a binary")
@@ -309,9 +298,6 @@ def make_parser():
                         "(llvm-bolt -time-rewrite)")
     p.add_argument("--time-report", metavar="FILE",
                    help="also write the timing report as JSON to FILE")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="run per-function passes on N threads "
-                        "(output is byte-identical to serial)")
     p.set_defaults(func=cmd_bolt, strict=False)
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print a BOLT-INFO summary of the rewrite")
@@ -330,9 +316,6 @@ def make_parser():
                    metavar="W",
                    help="per-shard weight (repeat per shard, or give "
                         "once to apply to all; default 1.0)")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="parse shards on N threads (output is "
-                        "byte-identical to serial)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="on-disk shard cache; unchanged shards skip "
                         "re-parsing and re-reconciliation")
@@ -359,9 +342,6 @@ def make_parser():
     p = sub.add_parser("stat", help="perf-stat analog")
     p.add_argument("binary")
     p.add_argument("--max-instructions", type=int, default=100_000_000)
-    p.add_argument("--engine", choices=["block", "ref"], default=None,
-                   help="execution engine: block (trace-cached, default) "
-                        "or ref (per-instruction oracle)")
     p.set_defaults(func=cmd_stat)
 
     p = sub.add_parser("objdump", help="linear disassembly listing")
@@ -383,7 +363,7 @@ def main(argv=None):
     from repro.lang import LexError, ParseError, SemaError
     from repro.linker import LinkError
     from repro.profiling import YamlProfileError
-    from repro.uarch import MachineFault
+    from repro.uarch import ExecutionLimitExceeded, MachineFault
 
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -403,7 +383,7 @@ def main(argv=None):
         print(f"BOLT-ERROR: {exc}", file=sys.stderr)
     except LinkError as exc:
         print(f"link error: {exc}", file=sys.stderr)
-    except MachineFault as exc:
+    except (MachineFault, ExecutionLimitExceeded) as exc:
         print(f"machine fault: {exc}", file=sys.stderr)
     except BrokenPipeError:
         return 0

@@ -88,9 +88,9 @@ class Diagnostics:
         return diag
 
     def extend(self, diagnostics):
-        """Replay records collected elsewhere (e.g. by a worker-local
-        collector during a parallel stage) into this one, re-applying
-        this collector's strictness."""
+        """Replay records collected elsewhere (e.g. a per-shard
+        collector, or one restored from the shard cache) into this one,
+        re-applying this collector's strictness."""
         for diag in diagnostics:
             self._record(diag.severity, diag.component, diag.message,
                          diag.function)

@@ -51,7 +51,6 @@ class BoltOptions:
         stale_min_quality=0.0,          # below: drop the profile entirely
         time_opts=False,                # per-pass wall time (-time-opts)
         time_rewrite=False,             # per-phase wall time (-time-rewrite)
-        threads=1,                      # parallel per-function passes
     ):
         self.reorder_blocks = reorder_blocks
         self.reorder_functions = reorder_functions
@@ -93,7 +92,6 @@ class BoltOptions:
         self.stale_min_quality = stale_min_quality
         self.time_opts = time_opts
         self.time_rewrite = time_rewrite
-        self.threads = threads
 
     def copy(self, **overrides):
         out = BoltOptions()

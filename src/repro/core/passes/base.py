@@ -15,14 +15,6 @@ deep copy of exactly the mutable CFG state — rather than generic
 snapshot is preserved in :mod:`repro.core._reference_kernels` for the
 processing-time benchmarks).
 
-With ``BoltOptions.threads > 1`` per-function passes fan their
-function loop out over a chunked thread-pool work queue.  Workers only
-ever touch their own function (pass-wide read-only state is computed
-once in :meth:`BinaryPass.prepare`); failures are collected and
-contained on the coordinating thread in the function's original order,
-so diagnostics, stats, and the output binary are byte-identical to a
-serial run.
-
 With ``BoltOptions.verify_cfg`` the manager additionally re-checks CFG
 structural invariants after every pass and demotes any function a pass
 corrupted without raising.
@@ -59,17 +51,11 @@ class BinaryPass:
 
     name = "pass"
 
-    #: Per-function passes whose ``run_on_function`` touches only its
-    #: own function (after ``prepare``) may run under ``--threads N``.
-    #: Whole-context passes override ``run`` and are never parallelized.
-    parallel_safe = True
-
     def prepare(self, context):
         """Compute pass-wide state once, before the function loop.
 
-        Runs on the coordinating thread; anything cached on ``self``
-        must be treated as read-only by ``run_on_function`` so the
-        parallel mode stays deterministic.
+        Anything cached on ``self`` is shared by every
+        ``run_on_function`` call of this run.
         """
 
     def run(self, context):
@@ -79,15 +65,9 @@ class BinaryPass:
         if not funcs:
             return stats
         self.prepare(context)
-        threads = int(getattr(context.options, "threads", 1) or 1)
-        if threads > 1 and self.parallel_safe and len(funcs) > 1:
-            outcomes = self._attempt_parallel(context, funcs, threads)
-        else:
-            # Lazy: containment for function k happens before k+1 runs,
-            # exactly like the historical serial loop.
-            outcomes = ((func, self._attempt(context, func))
-                        for func in funcs)
-        for func, (result, exc) in outcomes:
+        for func in funcs:
+            # Containment for function k happens before k+1 runs.
+            result, exc = self._attempt(context, func)
             if exc is not None:
                 contain_function_failure(
                     context, func, f"pass:{self.name}", exc)
@@ -105,23 +85,6 @@ class BinaryPass:
         except Exception as exc:
             restore_function(func, snapshot)
             return None, exc
-
-    def _attempt_parallel(self, context, funcs, threads):
-        """Chunked work queue; results in original function order."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk_size = max(1, -(-len(funcs) // (threads * 4)))
-        chunks = [funcs[i : i + chunk_size]
-                  for i in range(0, len(funcs), chunk_size)]
-
-        def work(chunk):
-            return [self._attempt(context, func) for func in chunk]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(work, chunks))
-        return [(func, outcome)
-                for chunk, outcomes in zip(chunks, per_chunk)
-                for func, outcome in zip(chunk, outcomes)]
 
     def run_on_function(self, context, func):  # pragma: no cover - abstract
         raise NotImplementedError

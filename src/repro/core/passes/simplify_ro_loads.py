@@ -20,9 +20,8 @@ class SimplifyRoLoads(BinaryPass):
 
     def prepare(self, context):
         # Jump-table slots are collected once per pass run (they used to
-        # be rescanned across every function, per function) and treated
-        # as read-only by the per-function loop, so the pass stays
-        # deterministic under --threads.
+        # be rescanned across every function, per function) and only
+        # read by the per-function loop.
         table_addrs = set()
         for other in context.functions.values():
             for table in other.jump_tables:

@@ -225,8 +225,7 @@ def _revalidate_cfgs(context, out):
 
 
 def validate_execution(reference, candidate, inputs=None,
-                       max_instructions=5_000_000, diagnostics=None,
-                       engine=None):
+                       max_instructions=5_000_000, diagnostics=None):
     """Execution equivalence on a smoke workload; returns problems.
 
     Runs both binaries on the uarch simulator with the same inputs and
@@ -240,7 +239,7 @@ def validate_execution(reference, candidate, inputs=None,
 
     try:
         ref = run_binary(reference, inputs=inputs,
-                         max_instructions=max_instructions, engine=engine)
+                         max_instructions=max_instructions)
     except Exception as exc:
         # The input itself does not survive the smoke run, so there is
         # nothing to compare the candidate against.
@@ -253,7 +252,7 @@ def validate_execution(reference, candidate, inputs=None,
         return []
     try:
         cand = run_binary(candidate, inputs=inputs,
-                          max_instructions=max_instructions, engine=engine)
+                          max_instructions=max_instructions)
     except Exception as exc:
         return [f"smoke run failed on rewritten binary: "
                 f"{type(exc).__name__}: {exc}"]

@@ -12,10 +12,9 @@ from repro.core.hfsort import CallGraph, hfsort, hfsort_plus
 from repro.linker import link
 from repro.profiling import (
     AddressMapper,
-    Sampler,
     SamplingConfig,
-    aggregate_samples,
     aggregate_shards,
+    profile_binary,
     write_fdata,
 )
 from repro.uarch import run_binary
@@ -125,36 +124,29 @@ def _label(lto, pgo, autofdo, hfsort_link):
 
 
 def measure(built_or_exe, inputs=None, config=None,
-            max_instructions=DEFAULT_MAX_INSTRUCTIONS, fetch_heat=False,
-            engine=None):
+            max_instructions=DEFAULT_MAX_INSTRUCTIONS, fetch_heat=False):
     """Run and return the CPU (counters, cycles, output)."""
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
     if inputs is None and isinstance(built_or_exe, BuiltBinary):
         inputs = built_or_exe.workload.inputs
     return run_binary(exe, inputs=inputs, config=config,
                       max_instructions=max_instructions,
-                      fetch_heat=fetch_heat, engine=engine)
+                      fetch_heat=fetch_heat)
 
 
-def _sample(exe, inputs, sampling, max_instructions, engine=None):
-    sampling = sampling or SamplingConfig(period=251)
-    sampler = Sampler(sampling)
-    cpu = run_binary(exe, inputs=inputs, sampler=sampler,
-                     max_instructions=max_instructions, engine=engine)
-    mapper = AddressMapper(exe)
-    profile = aggregate_samples(sampler.samples, mapper,
-                                event=sampling.event, lbr=sampling.use_lbr,
-                                build_id=exe.content_hash())
-    return profile, cpu
+def _sample(exe, inputs, sampling, max_instructions):
+    return profile_binary(exe, inputs=inputs,
+                          sampling=sampling or SamplingConfig(period=251),
+                          max_instructions=max_instructions)
 
 
 def sample_profile(built_or_exe, inputs=None, sampling=None,
-                   max_instructions=DEFAULT_MAX_INSTRUCTIONS, engine=None):
+                   max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Collect a BinaryProfile (the perf + perf2bolt step)."""
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
     if inputs is None and isinstance(built_or_exe, BuiltBinary):
         inputs = built_or_exe.workload.inputs
-    return _sample(exe, inputs, sampling, max_instructions, engine=engine)
+    return _sample(exe, inputs, sampling, max_instructions)
 
 
 def _map_to_source(exe, bin_profile):
@@ -237,8 +229,7 @@ _HOST_PERIODS = (251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313)
 
 def collect_fleet_shards(built_or_exe, hosts=4, sampling=None,
                          vary_inputs=True,
-                         max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                         engine=None):
+                         max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """Simulate a fleet: N hosts each sample the same service.
 
     Every host runs the workload under its own sampling period (and,
@@ -265,14 +256,13 @@ def collect_fleet_shards(built_or_exe, hosts=4, sampling=None,
             period=_HOST_PERIODS[host % len(_HOST_PERIODS)],
             skid=base.skid, use_lbr=base.use_lbr)
         inputs = input_pool[host % len(input_pool)]
-        profile, _ = _sample(exe, inputs, config, max_instructions,
-                             engine=engine)
+        profile, _ = _sample(exe, inputs, config, max_instructions)
         shards.append((f"host{host:02d}", write_fdata(profile)))
     return shards
 
 
 def bolt_with_fleet_profile(built_or_exe, hosts=4, options=None,
-                            threads=1, cache_dir=None, sampling=None,
+                            cache_dir=None, sampling=None,
                             vary_inputs=True,
                             max_instructions=DEFAULT_MAX_INSTRUCTIONS):
     """The fleet flow end to end: sample N hosts, aggregate the shards
@@ -287,8 +277,7 @@ def bolt_with_fleet_profile(built_or_exe, hosts=4, options=None,
                                   sampling=sampling,
                                   vary_inputs=vary_inputs,
                                   max_instructions=max_instructions)
-    aggregation = aggregate_shards(shards, binary=exe, threads=threads,
-                                   cache_dir=cache_dir)
+    aggregation = aggregate_shards(shards, binary=exe, cache_dir=cache_dir)
     result = run_bolt(built_or_exe, aggregation.profile, options=options)
     return result, aggregation
 

@@ -5,13 +5,13 @@ The first half of the module turns one host's raw ``(pc, lbr)`` samples
 into a symbolized :class:`BinaryProfile`.  The second half —
 :func:`aggregate_shards` — is the data-center step the paper assumes
 before the rewrite (sections 2, 5.1): many hosts' ``.fdata`` shards,
-possibly collected on *different builds* of the binary, are parsed (in
-parallel, PR 3's chunked thread-pool pattern), grouped by build-id,
-reconciled through PR 1's fuzzy stale-profile matcher, merged with
-explicit weighting and deterministic normalization, and summarized in
-a per-shard quality report.  An on-disk cache keyed by
-``Binary.content_hash`` + shard content hash lets repeated aggregation
-runs skip re-parsing and re-reconciling unchanged shards.
+possibly collected on *different builds* of the binary, are parsed,
+grouped by build-id, reconciled through PR 1's fuzzy stale-profile
+matcher, merged with explicit weighting and deterministic
+normalization, and summarized in a per-shard quality report.  An
+on-disk cache keyed by ``Binary.content_hash`` + shard content hash
+lets repeated aggregation runs skip re-parsing and re-reconciling
+unchanged shards.
 """
 
 import bisect
@@ -85,7 +85,7 @@ def aggregate_samples(samples, mapper, event="cycles", lbr=True,
 
 
 def profile_binary(binary, inputs=None, config=None, sampling=None,
-                   max_instructions=50_000_000, engine=None):
+                   max_instructions=50_000_000):
     """Run a binary under the sampler and aggregate the profile.
 
     Returns (BinaryProfile, cpu) — the cpu gives access to true
@@ -96,7 +96,7 @@ def profile_binary(binary, inputs=None, config=None, sampling=None,
     sampling = sampling or SamplingConfig()
     sampler = Sampler(sampling)
     cpu = run_binary(binary, inputs=inputs, config=config, sampler=sampler,
-                     max_instructions=max_instructions, engine=engine)
+                     max_instructions=max_instructions)
     mapper = AddressMapper(binary)
     profile = aggregate_samples(sampler.samples, mapper,
                                 event=sampling.event, lbr=sampling.use_lbr,
@@ -312,9 +312,9 @@ def _build_attach_context(binary):
 
 
 def _parse_one_shard(name, text, sha, binary_hash, context, cache):
-    """Parse + (if stale) reconcile one shard; pure per-shard work, safe
-    to fan out over the thread pool.  Returns a ShardReport plus the
-    local diagnostics to replay in shard order on the coordinator."""
+    """Parse + (if stale) reconcile one shard.  Returns a ShardReport
+    plus the shard's local diagnostics (cached with it), which the
+    caller replays in shard order."""
     from repro.core.diagnostics import Diagnostics
     from repro.core.profile_attach import (
         detect_stale,
@@ -369,9 +369,9 @@ def _parse_one_shard(name, text, sha, binary_hash, context, cache):
     return report, list(local)
 
 
-def aggregate_shards(shards, weights=None, binary=None, threads=1,
-                     cache_dir=None, stale_downweight=0.5,
-                     min_match_quality=0.0, diagnostics=None):
+def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
+                     stale_downweight=0.5, min_match_quality=0.0,
+                     diagnostics=None):
     """Aggregate many ``.fdata`` shards into one profile.
 
     Args:
@@ -383,10 +383,6 @@ def aggregate_shards(shards, weights=None, binary=None, threads=1,
             Without it, the fleet-majority build-id group is the
             reference and off-reference shards get
             ``stale_downweight``.
-        threads: parse/reconcile fan-out.  Only engaged when the shard
-            cache is active (the work is otherwise GIL-bound pure
-            Python and threads would slow it down); output is
-            byte-identical to a serial run either way.
         cache_dir: on-disk shard cache directory (None = no cache).
         min_match_quality: stale shards matching below this fraction
             are excluded entirely (FD013).
@@ -404,40 +400,17 @@ def aggregate_shards(shards, weights=None, binary=None, threads=1,
     context = _build_attach_context(binary) if binary is not None else None
     cache = ShardCache(cache_dir) if cache_dir else None
 
-    jobs = [(name, text, shard_content_hash(text))
-            for name, text in shards]
-
-    def work(chunk):
-        return [_parse_one_shard(name, text, sha, binary_hash, context,
-                                 cache)
-                for name, text, sha in chunk]
-
-    # Shard parsing/reconciliation is pure Python, so under the GIL a
-    # thread pool only adds scheduling overhead — unless the on-disk
-    # shard cache is active, where the workers overlap file I/O.
-    # Serial otherwise keeps `--threads N` no slower than `--threads 1`;
-    # either way the merged output is byte-identical.
-    threads = int(threads or 1)
-    if threads > 1 and len(jobs) > 1 and cache is not None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk_size = max(1, -(-len(jobs) // threads))
-        chunks = [jobs[i: i + chunk_size]
-                  for i in range(0, len(jobs), chunk_size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(work, chunks))
-        outcomes = [item for chunk in per_chunk for item in chunk]
-    else:
-        outcomes = work(jobs)
-
-    # Replay worker diagnostics in shard order so parallel runs render
-    # identically to serial ones (and --strict raises deterministically).
+    # Each shard is parsed against its own Diagnostics (the local list
+    # is what the shard cache stores); replay them in shard order.
     reports = []
-    for (report, local) in outcomes:
+    for name, text in shards:
+        report, local = _parse_one_shard(name, text,
+                                         shard_content_hash(text),
+                                         binary_hash, context, cache)
         diags.extend(local)
         reports.append(report)
 
-    # Staleness + downweighting.  With a target binary the worker
+    # Staleness + downweighting.  With a target binary the shard parse
     # already decided staleness per shard (build-id stamp + structural
     # heuristic); without one, the fleet-majority build-id group is
     # the reference and everything off-reference is stale.

@@ -13,6 +13,9 @@ class SamplingConfig:
     def __init__(self, event="cycles", period=997, skid=0, use_lbr=True):
         if event not in ("cycles", "instructions", "taken-branches"):
             raise ValueError(f"unknown sampling event {event!r}")
+        if period <= 0:
+            raise ValueError(f"sampling period must be positive, "
+                             f"got {period!r}")
         self.event = event
         self.period = period
         self.skid = skid

@@ -4,7 +4,7 @@ This is the pre-PR 5 interpreter (fetch -> decode-cache -> if/elif
 dispatch -> per-instruction accounting), kept as the equivalence oracle
 for the block-cached engine in :mod:`repro.uarch.cpu` — the same
 pattern as :mod:`repro.core._reference_kernels` from PR 3.  Select it
-with ``UarchConfig(engine="ref")`` or ``--engine ref``.
+with ``CPU(..., engine="ref")`` or ``run_binary(..., engine="ref")``.
 
 Executes decoded BX86 instructions out of the loaded memory image,
 charging cycles via :class:`UarchConfig` penalties.  Supports:

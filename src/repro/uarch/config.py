@@ -37,10 +37,7 @@ class UarchConfig:
         l1_miss_penalty=12,
         llc_miss_penalty=120,
         tlb_miss_penalty=30,
-        engine="block",         # "block" (trace-cached) | "ref" (oracle)
     ):
-        if engine not in ("block", "ref"):
-            raise ValueError(f"unknown execution engine {engine!r}")
         self.line_size = line_size
         self.l1i_size = l1i_size
         self.l1i_assoc = l1i_assoc
@@ -65,4 +62,3 @@ class UarchConfig:
         self.l1_miss_penalty = l1_miss_penalty
         self.llc_miss_penalty = llc_miss_penalty
         self.tlb_miss_penalty = tlb_miss_penalty
-        self.engine = engine

@@ -926,17 +926,17 @@ def _prep_term(op, insn, pc, npc, fev):
 def CPU(machine, config=None, sampler=None, engine=None):
     """Build a CPU for ``machine`` using the selected execution engine.
 
-    ``engine`` (or ``config.engine`` when None) chooses between the
-    block-cached engine (``"block"``, default) and the preserved
-    per-instruction reference interpreter (``"ref"``).  Both produce
-    bit-identical architectural and microarchitectural results.
+    ``engine`` chooses between the block-cached engine (``"block"`` or
+    None, the default) and the preserved per-instruction reference
+    interpreter (``"ref"``), kept as the oracle for equivalence checks.
+    Both produce bit-identical architectural and microarchitectural
+    results.
     """
     cfg = config or UarchConfig()
-    eng = engine or cfg.engine
-    if eng == "ref":
+    if engine == "ref":
         return ReferenceCPU(machine, config=cfg, sampler=sampler)
-    if eng != "block":
-        raise ValueError(f"unknown execution engine {eng!r}")
+    if engine not in (None, "block"):
+        raise ValueError(f"unknown execution engine {engine!r}")
     return BlockCPU(machine, config=cfg, sampler=sampler)
 
 
@@ -945,7 +945,7 @@ def run_binary(binary, *, inputs=None, config=None, sampler=None,
     """Convenience: load, optionally poke input arrays, run.
 
     ``inputs``: {array link name: [values]} written before execution.
-    ``engine``: "block" | "ref" | None (use ``config.engine``).
+    ``engine``: "block" (default) | "ref" (the reference oracle).
     Returns the CPU (with counters, output, exit code).
     """
     machine = Machine(binary)

@@ -115,3 +115,31 @@ def test_cli_objdump(workdir, capsys):
     assert "Disassembly of section .text:" in out
     assert "<main>:" in out
     assert "retq" in out
+
+
+@pytest.mark.parametrize("command", ["run", "stat", "profile"])
+def test_cli_instruction_limit_is_one_line(workdir, capsys, command):
+    exe = workdir / "app.belf"
+    main(["build", str(workdir / "app.bc"), "-o", str(exe)])
+    capsys.readouterr()
+    argv = [command, str(exe), "--max-instructions", "100"]
+    if command == "profile":
+        argv += ["-o", str(workdir / "app.fdata")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("machine fault: exceeded 100 instructions")
+
+
+@pytest.mark.parametrize("period", ["0", "-5"])
+def test_cli_profile_rejects_nonpositive_period(workdir, capsys, period):
+    exe = workdir / "app.belf"
+    fdata = workdir / "app.fdata"
+    main(["build", str(workdir / "app.bc"), "-o", str(exe)])
+    capsys.readouterr()
+    assert main(["profile", str(exe), "-o", str(fdata),
+                 f"--period={period}"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("BOLT-ERROR: malformed input")
+    assert not fdata.exists()

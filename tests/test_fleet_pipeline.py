@@ -91,7 +91,7 @@ def test_fleet_dyno_stats_match_single_merged_baseline(mini_built, shards):
 
 def test_bolt_with_fleet_profile_end_to_end(mini_built):
     result, aggregation = bolt_with_fleet_profile(
-        mini_built, hosts=HOSTS, threads=2,
+        mini_built, hosts=HOSTS,
         options=BoltOptions(validate_output="execute"))
     assert result.degraded is None
     assert result.binary is not None

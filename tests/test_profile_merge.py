@@ -121,15 +121,3 @@ def test_aggregate_shards_order_invariant(case):
     merged = aggregate_shards(texts).profile
     shuffled = aggregate_shards([texts[i] for i in order]).profile
     assert write_fdata(merged) == write_fdata(shuffled)
-
-
-@given(st.lists(profiles(), min_size=1, max_size=6))
-@settings(deadline=None, max_examples=25)
-def test_parallel_parse_equals_serial(items):
-    texts = [write_fdata(p) for p in items]
-    serial = aggregate_shards(texts, threads=1)
-    parallel = aggregate_shards(texts, threads=4)
-    assert write_fdata(serial.profile) == write_fdata(parallel.profile)
-    assert serial.to_json() == parallel.to_json()
-    assert ([d.render() for d in serial.diagnostics]
-            == [d.render() for d in parallel.diagnostics])

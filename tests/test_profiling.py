@@ -54,6 +54,12 @@ def test_sampling_config_validation():
     assert EVENT_PRESETS["cycles"].skid > 0
 
 
+@pytest.mark.parametrize("period", [0, -5])
+def test_sampling_config_rejects_nonpositive_period(period):
+    with pytest.raises(ValueError, match="period"):
+        SamplingConfig(period=period)
+
+
 def test_sampler_collects(exe):
     profile, cpu = profile_binary(exe, sampling=SamplingConfig(period=67))
     assert len(profile.branches) > 0

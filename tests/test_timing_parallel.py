@@ -1,12 +1,11 @@
-"""The PR-3 performance layer: pass/phase timing, parallel per-function
-pass execution (byte-identical to serial), the fast CFG snapshot, and
-the diagnostics routing of formerly-silent failure paths."""
+"""The PR-3 performance layer: pass/phase timing, per-function pass
+failure containment, the fast CFG snapshot, and the diagnostics
+routing of formerly-silent failure paths."""
 
 import json
 
 import pytest
 
-from repro.belf import write_binary
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BinaryContext, BoltOptions, optimize_binary
 from repro.core._reference_kernels import (
@@ -115,16 +114,7 @@ def test_timing_off_by_default(baseline):
     assert result.timing is None
 
 
-# -- parallel pass execution -------------------------------------------------
-
-
-def test_threads_output_byte_identical(baseline):
-    exe, cpu, profile = baseline
-    serial = optimize_binary(exe, profile, BoltOptions(threads=1))
-    parallel = optimize_binary(exe, profile, BoltOptions(threads=4))
-    assert write_binary(serial.binary) == write_binary(parallel.binary)
-    opt = run_binary(parallel.binary)
-    assert opt.output == cpu.output and opt.exit_code == cpu.exit_code
+# -- per-function failure containment ---------------------------------------
 
 
 class _ExplodingPass(BinaryPass):
@@ -137,21 +127,25 @@ class _ExplodingPass(BinaryPass):
         return {"visited": 1}
 
 
-def test_parallel_containment_matches_serial(baseline):
+def test_pass_failure_contained(baseline):
     exe, _, _ = baseline
-    outcomes = {}
-    for threads in (1, 4):
-        context = _context(exe, BoltOptions(threads=threads))
-        stats = PassManager([_ExplodingPass()]).run(context)
-        spin = context.functions["spin"]
-        assert not spin.is_simple  # demoted, not lost
-        assert spin.blocks  # snapshot restored before demotion
-        outcomes[threads] = (
-            stats,
-            [d.render() for d in context.diagnostics],
-            sorted(f.name for f in context.simple_functions()),
-        )
-    assert outcomes[1] == outcomes[4]
+    context = _context(exe)
+    before = sorted(f.name for f in context.simple_functions())
+    assert "spin" in before
+    stats = PassManager([_ExplodingPass()]).run(context)
+    spin = context.functions["spin"]
+    assert not spin.is_simple  # demoted, not lost
+    assert spin.blocks  # snapshot restored before demotion
+    assert spin.entry_label in spin.blocks
+    after = sorted(f.name for f in context.simple_functions())
+    assert after == [name for name in before if name != "spin"]
+    # Every other function still ran; the failed one adds nothing.
+    assert stats == {"exploding": {"visited": len(before) - 1}}
+    rendered = [d.render() for d in context.diagnostics]
+    contained = [line for line in rendered if "pass:exploding" in line]
+    assert len(contained) == 1
+    assert "contained RuntimeError: boom" in contained[0]
+    assert "spin" in contained[0]
 
 
 # -- fast snapshot (BinaryFunction.clone) ------------------------------------
