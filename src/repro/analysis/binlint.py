@@ -14,13 +14,18 @@ Three tiers, cheapest first:
 3. **IR checkers**: CFGs are reconstructed and every function that
    builds as *simple* runs the :mod:`repro.analysis.checkers` suite.
 
-``lint_binary`` is pure (never mutates its input) and is what both the
-``lint`` CLI subcommand and the ``--validate static`` gate call.
+``lint_binary`` is pure (never mutates its input) and backs the
+``lint`` CLI subcommand.  :func:`gate_problems` is the rewriter's whole
+validation gate (``--validate``): it runs these same tiers on the
+emitted binary, reconstructing the output's CFGs once per attempt.
 """
 
-from repro.analysis.checkers import check_function
+from repro.analysis.checkers import check_function, check_structure
 from repro.analysis.rules import Finding, LintReport, parse_suppressions
+from repro.analysis.validation import validate_translation
 from repro.belf import SymbolType
+from repro.core.emitter import COLD_SUFFIX
+from repro.core.validate import validate_execution
 from repro.isa.decoding import DecodeError, decode
 
 #: Symbols the rewriter may legitimately reference without defining.
@@ -31,7 +36,12 @@ def lint_binary(binary, options=None, suppress=()):
     """Lint one binary; returns a :class:`LintReport`."""
     report = LintReport(suppressions=parse_suppressions(suppress))
     _lint_metadata(binary, report)
-    _lint_functions(binary, options, report)
+    context, failure = _rebuild(binary, options)
+    if failure is not None:
+        report.add(failure)
+    else:
+        for func in context.simple_functions():
+            report.extend(check_function(func))
     return report
 
 
@@ -47,10 +57,25 @@ def _func_symbols(binary):
 
 
 def _lint_metadata(binary, report):
+    """Tiers 1+2 into ``report``.
+
+    Returns the findings that leave the binary structurally broken,
+    whether suppressed or not: a bad entry point (BL101), a symbol
+    outside its section (BL103), and a body that does not decode to its
+    end (BL102, or BL105 for an instruction straddling the symbol's
+    end).  A body that decodes but ends without a terminator is lint,
+    not breakage.
+    """
+    broken = []
+
+    def flag(finding):
+        broken.append(finding)
+        report.add(finding)
+
     if binary.entry:
         section = binary.section_at(binary.entry)
         if section is None or not section.is_exec:
-            report.add(Finding(
+            flag(Finding(
                 "BL101",
                 f"entry point {binary.entry:#x} is not in an "
                 f"executable section",
@@ -76,14 +101,14 @@ def _lint_metadata(binary, report):
         name = sym.link_name()
         section = binary.section_at(sym.value)
         if section is None or not section.is_exec:
-            report.add(Finding(
+            flag(Finding(
                 "BL103",
                 f"starts at {sym.value:#x}, outside every executable "
                 f"section (truncated or mislaid section?)",
                 function=name, address=sym.value))
             continue
         if sym.value + sym.size > section.end:
-            report.add(Finding(
+            flag(Finding(
                 "BL103",
                 f"[{sym.value:#x}, {sym.value + sym.size:#x}) runs "
                 f"past the end of {section.name} ({section.end:#x})",
@@ -93,7 +118,9 @@ def _lint_metadata(binary, report):
         if span in seen_ranges:
             continue  # exact alias: lint the bytes once
         seen_ranges.add(span)
-        _lint_body(section, sym, name, report)
+        stopped = _lint_body(section, sym, name, report)
+        if stopped is not None:
+            broken.append(stopped)
 
     # Dangling relocations.
     known = {s.link_name() for s in binary.symbols}
@@ -111,6 +138,7 @@ def _lint_metadata(binary, report):
             f"relocation at {reloc.section}+{reloc.offset:#x} names "
             f"undefined symbol {reloc.symbol!r}",
             function=_owner_of(binary, reloc)))
+    return broken
 
 
 def _owner_of(binary, reloc):
@@ -125,7 +153,11 @@ def _owner_of(binary, reloc):
 
 
 def _lint_body(section, sym, name, report):
-    """Decode one function body; BL102 vs BL105 classification."""
+    """Decode one function body; BL102 vs BL105 classification.
+
+    Returns the finding that stopped the decode short of the symbol's
+    end, or None when the body decodes to its end.
+    """
     start = sym.value - section.addr
     end = start + sym.size
     offset = start
@@ -135,18 +167,20 @@ def _lint_body(section, sym, name, report):
             insn = decode(section.data, offset,
                           sym.value + (offset - start))
         except DecodeError as exc:
-            report.add(Finding(
+            finding = Finding(
                 "BL102", f"body does not decode: {exc}",
-                function=name, address=sym.value + (offset - start)))
-            return
+                function=name, address=sym.value + (offset - start))
+            report.add(finding)
+            return finding
         if offset + insn.size > end:
-            report.add(Finding(
+            finding = Finding(
                 "BL105",
                 f"instruction at {insn.address:#x} straddles the "
                 f"symbol's end ({sym.value + sym.size:#x}): symbol "
                 f"size {sym.size} cuts the body mid-instruction",
-                function=name, address=insn.address))
-            return
+                function=name, address=insn.address)
+            report.add(finding)
+            return finding
         if not insn.is_nop:
             last = insn
         offset += insn.size
@@ -157,6 +191,7 @@ def _lint_body(section, sym, name, report):
             f"body ends in {what} instead of a terminator: control "
             f"falls off the symbol's end (wrong symbol size?)",
             function=name, address=sym.value + sym.size))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +199,118 @@ def _lint_body(section, sym, name, report):
 # ---------------------------------------------------------------------------
 
 
-def _lint_functions(binary, options, report):
+def _rebuild(binary, options):
+    """Reconstruct a binary's CFGs; returns (context, None), or
+    (None, a BL102 finding) when reconstruction itself fails."""
     from repro.core.binary_context import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.discovery import discover_functions
     from repro.core.options import BoltOptions
 
     opts = (options or BoltOptions()).copy(
-        strict=False, verify_cfg=False, validate_output="none",
-        lint="none")
+        strict=False, validate_output="none", lint="none")
     try:
         context = BinaryContext(binary, opts)
         discover_functions(context)
         build_all_functions(context)
     except Exception as exc:
-        report.add(Finding(
+        return None, Finding(
             "BL102",
-            f"CFG reconstruction failed: {type(exc).__name__}: {exc}"))
-        return
+            f"CFG reconstruction failed: {type(exc).__name__}: {exc}")
+    return context, None
+
+
+# ---------------------------------------------------------------------------
+# The rewriter's validation gate
+# ---------------------------------------------------------------------------
+
+
+def gate_problems(binary, options, result=None):
+    """The rewriter's validation gate (``options.validate_output``).
+
+    Returns problem strings, each naming the rule it breaks.  Without
+    ``result`` this is the up-front input check: the ``static`` and
+    ``execute`` tiers lint the input itself, so a corrupt input is
+    rejected before any rewrite attempt.  With ``result`` it judges the
+    emitted ``result.binary``; each tier includes the previous ones:
+
+    * ``structural`` — the output's entry point, symbol bounds and
+      decode (BL101/BL103/BL102/BL105) plus BL007 on its reconstructed
+      CFGs.  Only what held for the input is demanded of the output: a
+      function whose symbol or body was already broken going in is
+      contained, not repaired.
+    * ``static`` — every checker on that same output context, then
+      translation validation of each emitted function against its
+      optimized IR (BL2xx).
+    * ``execute`` — a smoke run comparing program output.
+    """
+    level = options.validate_output
+    if level in (None, "none"):
+        return []
+    full = level in ("static", "execute")
+    if result is None:
+        if not full:
+            return []
+        report = lint_binary(binary, options, options.lint_suppress)
+        return _render("input fails static lint", report.errors)
+
+    out = result.binary
+    report = LintReport(suppressions=options.lint_suppress)
+    intact, decodable = _input_health(result.context)
+    broken = [f for f in _lint_metadata(out, report)
+              if f.function is None or _base_name(f.function) in (
+                  intact if f.rule == "BL103" else decodable)]
+    if broken:
+        return _render("output fails lint", broken)
+    context, failure = _rebuild(out, options)
+    if failure is not None:
+        return _render("output fails lint", [failure])
+    invalid = []
     for func in context.simple_functions():
-        report.extend(check_function(func))
+        findings = check_function(func) if full else check_structure(func)
+        invalid += [f for f in findings if f.rule == "BL007"]
+        report.extend(findings)
+    if invalid or not full:
+        return _render("output fails lint", invalid)
+
+    problems = _render("output fails lint", report.errors)
+    problems += _render("translation validation", validate_translation(
+        result.context, out, result.fragments, skip=set(result.reverted)))
+    if not problems and level == "execute":
+        problems = validate_execution(
+            binary, out, inputs=options.validate_inputs,
+            max_instructions=options.validate_max_instructions,
+            diagnostics=result.context.diagnostics)
+    return problems
+
+
+def _input_health(context):
+    """(intact, decodable): the input functions whose symbol fits its
+    section, and those whose body decoded when the rewrite built them."""
+    binary = context.binary
+    intact = set()
+    for sym in _func_symbols(binary):
+        section = binary.section_at(sym.value)
+        if (section is not None and section.is_exec
+                and sym.value + sym.size <= section.end):
+            intact.add(sym.link_name())
+    decodable = {
+        name for name, func in context.functions.items()
+        if func.blocks and not (func.simple_violation or "").startswith(
+            "decode-error")
+    }
+    return intact, decodable
+
+
+def _base_name(name):
+    """The function a (possibly split-off cold) fragment belongs to."""
+    return name[:-len(COLD_SUFFIX)] if name.endswith(COLD_SUFFIX) else name
+
+
+def _render(prefix, findings):
+    return [f"{prefix}: {f.rule}"
+            + (f" [{f.function}]" if f.function else "")
+            + f": {f.message}" for f in findings]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def check_function(func):
     if not func.is_simple or not func.blocks:
         return []
     findings = []
-    for checker in (_check_structure, _check_unreachable,
+    for checker in (check_structure, _check_unreachable,
                     _check_fallthrough, _check_jump_tables,
                     _check_stack_height, _check_callee_saved,
                     _check_flags, _check_pass_facts):
@@ -61,7 +61,7 @@ def check_function(func):
 # ---------------------------------------------------------------------------
 
 
-def _check_structure(func):
+def check_structure(func):
     """BL007: the validate_function structural invariants."""
     try:
         validate_function(func)

@@ -92,7 +92,6 @@ def cmd_bolt(args):
         reorder_functions=args.reorder_functions,
         split_functions=args.split_functions,
         strict=args.strict,
-        verify_cfg=args.verify_cfg,
         validate_output=args.validate,
         lint="none" if args.no_lint else "post",
         lint_suppress=tuple(args.suppress or ()),
@@ -116,7 +115,8 @@ def cmd_bolt(args):
         print(f"BOLT-WARNING: output degraded to {result.degraded} mode",
               file=sys.stderr)
     if args.verbose:
-        print(result.summary())
+        # The timing table, warnings and degraded line are printed above.
+        print("\n".join(result.info_lines()))
     if args.dyno_stats and result.dyno_before is not None:
         print("dyno-stats (vs input):")
         deltas = result.dyno_after.delta_vs(result.dyno_before)
@@ -271,7 +271,9 @@ def make_parser():
                    choices=["none", "reverse", "cache", "cache+"])
     p.add_argument("--reorder-functions", default="hfsort+",
                    choices=["none", "hfsort", "hfsort+"])
-    p.add_argument("--split-functions", type=int, default=3)
+    p.add_argument("--split-functions", type=int, default=3,
+                   choices=range(4),
+                   help="0=never .. 3=aggressive (default 3)")
     p.add_argument("--dyno-stats", action="store_true")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--strict", action="store_true",
@@ -279,12 +281,13 @@ def make_parser():
     mode.add_argument("--tolerant", dest="strict", action="store_false",
                       help="contain per-function failures and degrade "
                            "gracefully (default)")
-    p.add_argument("--verify-cfg", action="store_true",
-                   help="validate CFG invariants between passes")
     p.add_argument("--validate", default="structural",
                    choices=["none", "structural", "static", "execute"],
-                   help="post-rewrite validation gate level (static adds "
-                        "whole-binary lint + translation validation)")
+                   help="validation gate level: structural checks the "
+                        "output's entry, symbols, decode and CFG "
+                        "invariants; static adds input lint, every "
+                        "checker on the output and translation "
+                        "validation; execute adds a smoke run")
     p.add_argument("--no-lint", action="store_true",
                    help="disable the post-pass lint gate")
     p.add_argument("--suppress", action="append", default=[],

@@ -41,7 +41,6 @@ class BoltOptions:
         align_functions=16,
         cold_section_name=".text.cold",
         strict=False,                   # warnings become hard failures
-        verify_cfg=False,               # inter-pass CFG validation
         validate_output="structural",   # none | structural | static | execute
         validate_inputs=None,           # smoke inputs for "execute"
         validate_max_instructions=5_000_000,
@@ -82,7 +81,6 @@ class BoltOptions:
         self.align_functions = align_functions
         self.cold_section_name = cold_section_name
         self.strict = strict
-        self.verify_cfg = verify_cfg
         self.validate_output = validate_output
         self.validate_inputs = validate_inputs
         self.validate_max_instructions = validate_max_instructions

@@ -15,9 +15,12 @@ deep copy of exactly the mutable CFG state — rather than generic
 snapshot is preserved in :mod:`repro.core._reference_kernels` for the
 processing-time benchmarks).
 
-With ``BoltOptions.verify_cfg`` the manager additionally re-checks CFG
-structural invariants after every pass and demotes any function a pass
-corrupted without raising.
+A pass that corrupts a CFG *without* raising is caught after the
+pipeline instead: the rewriter's default-on lint gate
+(``BoltOptions.lint``) runs the :mod:`repro.analysis` checkers —
+``validate_function``'s structural invariants among them (BL007) — on
+every still-simple function and demotes violators through the same
+``demote_to_raw``.
 """
 
 import time
@@ -96,11 +99,10 @@ class PassManager:
         self.stats = {}
 
     def run(self, context):
-        verify = getattr(context.options, "verify_cfg", False)
         timing = getattr(context, "timing", None)
         time_passes = timing is not None and timing.time_passes
         dyno_prev = None
-        if time_passes and getattr(context.options, "dyno_stats", False):
+        if time_passes and context.options.dyno_stats:
             from repro.core.dyno_stats import compute_dyno_stats
             dyno_prev = compute_dyno_stats(context)
         for pass_ in self.passes:
@@ -129,25 +131,7 @@ class PassManager:
                     dyno_prev = dyno_now
                 timing.record_pass(pass_.name, elapsed,
                                    functions=functions, dyno_delta=delta)
-            if verify:
-                self._verify(context, pass_)
         return self.stats
-
-    def _verify(self, context, pass_):
-        from repro.core.cfg_builder import demote_to_raw
-        from repro.core.validate import ValidationError, validate_function
-
-        for func in context.simple_functions():
-            try:
-                validate_function(func)
-            except ValidationError as exc:
-                context.diagnostics.warning(
-                    f"verify-cfg:{pass_.name}",
-                    f"CFG invariants violated after pass: {exc}; "
-                    f"function demoted", function=func.name)
-                demote_to_raw(
-                    context, func,
-                    f"CFG corrupted by {pass_.name}")
 
 
 def build_pipeline(options):

@@ -43,7 +43,7 @@ def attach_profile(context, profile):
     """Annotate every simple function; returns per-function match rates."""
     diags = context.diagnostics
     dropped = _sanitize(profile, diags)
-    stale, reason = _detect_stale(context, profile)
+    stale, reason = detect_stale(context, profile)
     remap = {}
     if stale:
         context.stale_profile = True
@@ -129,8 +129,14 @@ class _MatchTotals:
 # ---------------------------------------------------------------------------
 
 
-def _detect_stale(context, profile):
-    """Is this profile from a different build of the binary?"""
+def detect_stale(context, profile):
+    """Is this profile from a different build of the binary?
+
+    Returns ``(stale, reason)`` from the build-id stamp, or from a
+    structural heuristic for unstamped profiles.  :func:`attach_profile`
+    applies it, and the fleet aggregator calls it per shard before
+    deciding whether to reconcile the shard.
+    """
     actual = context.binary.content_hash()
     if profile.build_id:
         if profile.build_id != actual:
@@ -226,22 +232,6 @@ def _similarity(func, orphan_name, signature):
     return score
 
 
-def detect_stale(context, profile):
-    """Public wrapper for shard-level staleness detection.
-
-    Returns ``(stale, reason)`` using the same build-id stamp and
-    structural heuristic :func:`attach_profile` applies — the fleet
-    aggregator calls this per shard before deciding whether to
-    reconcile it.
-    """
-    return _detect_stale(context, profile)
-
-
-def match_stale_functions(context, profile):
-    """Public wrapper for the fuzzy function re-matcher (PR 1)."""
-    return _match_stale_functions(context, profile)
-
-
 def reconcile_shard(context, profile):
     """Fuzzy-match one stale shard against a binary's CFGs.
 
@@ -257,10 +247,10 @@ def reconcile_shard(context, profile):
 def measure_match_quality(context, profile, remap=None):
     """Non-mutating per-shard match-quality measurement.
 
-    Walks every intra-function branch record through the same
-    exact-match rule :func:`_attach_lbr` enforces (real branch site,
-    real successor block entry) without annotating any CFG, so the
-    aggregation pipeline can report match quality per shard.
+    Walks every intra-function branch record through
+    :func:`_match_record`, the exact-match rule :func:`_attach_lbr`
+    attaches by, without annotating any CFG, so the aggregation
+    pipeline can report match quality per shard.
 
     Returns ``{"matched", "total", "out_of_range", "quality",
     "remapped"}`` with counts in record-count mass (quality is None
@@ -283,18 +273,11 @@ def measure_match_quality(context, profile, remap=None):
             continue
         index = _OffsetIndex(func)
         for (from_off, to_off), (count, _) in records.items():
-            if not (0 <= from_off < func.size and 0 <= to_off < func.size):
+            edge = _match_record(func, index, from_off, to_off)
+            if edge is _OUT_OF_RANGE:
                 out_of_range += count
-                continue
-            from_block = index.containing(from_off)
-            to_block = index.at(to_off)
-            if from_block is None or to_block is None:
-                continue
-            if _branch_at(from_block, func.address + from_off) is None:
-                continue
-            if to_block.label not in from_block.successors:
-                continue
-            matched += count
+            elif edge is not None:
+                matched += count
     return {
         "matched": matched,
         "total": total,
@@ -358,6 +341,37 @@ class _OffsetIndex:
         return self.by_offset.get(offset)
 
 
+#: :func:`_match_record`'s verdict for a record outside the function.
+_OUT_OF_RANGE = "out-of-range"
+
+
+def _match_record(func, index, from_off, to_off):
+    """The CFG edge an intra-function branch record lands on.
+
+    Returns ``(from_block, to_block)``, None when the record does not
+    match, or ``_OUT_OF_RANGE`` when an offset lies beyond the function
+    body (corrupted or cross-build offsets never attach).  Both
+    endpoints must land *exactly* — a real branch site and a real
+    successor's block entry.  Snapping shifted offsets to the nearest
+    plausible branch assigns counts to essentially arbitrary
+    successors, which can invert branch biases and make the layout
+    worse than no profile at all; a record that does not match exactly
+    stays unmatched and is absorbed into the match-quality figure
+    instead.
+    """
+    if not (0 <= from_off < func.size and 0 <= to_off < func.size):
+        return _OUT_OF_RANGE
+    from_block = index.containing(from_off)
+    to_block = index.at(to_off)
+    if from_block is None or to_block is None:
+        return None
+    if _branch_at(from_block, func.address + from_off) is None:
+        return None
+    if to_block.label not in from_block.successors:
+        return None
+    return from_block, to_block
+
+
 def _attach_lbr(context, func, profile, source=None, fuzzy=False,
                 totals=None):
     index = _OffsetIndex(func)
@@ -376,27 +390,13 @@ def _attach_lbr(context, func, profile, source=None, fuzzy=False,
 
     for (from_off, to_off), (count, mispreds) in records.items():
         total += count
-        # Out-of-range sample dropping: corrupted or cross-build
-        # offsets beyond the function body never attach.
-        if not (0 <= from_off < func.size and 0 <= to_off < func.size):
+        edge = _match_record(func, index, from_off, to_off)
+        if edge is _OUT_OF_RANGE:
             dropped += count
             continue
-        from_block = index.containing(from_off)
-        to_block = index.at(to_off)
-        if from_block is None or to_block is None:
+        if edge is None:
             continue
-        # Both endpoints must land *exactly* — a real branch site and a
-        # real block entry.  Snapping shifted offsets to the nearest
-        # plausible branch assigns counts to essentially arbitrary
-        # successors, which can invert branch biases and make the
-        # layout worse than no profile at all; a record that does not
-        # match exactly stays unmatched and is absorbed into the
-        # match-quality figure instead.
-        branch = _branch_at(from_block, func.address + from_off)
-        if branch is None:
-            continue
-        if to_block.label not in from_block.successors:
-            continue
+        from_block, to_block = edge
         from_block.edge_counts[to_block.label] = (
             from_block.edge_counts.get(to_block.label, 0) + count)
         from_block.edge_mispreds[to_block.label] = (

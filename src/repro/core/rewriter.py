@@ -39,7 +39,6 @@ from repro.core.options import BoltOptions
 from repro.core.passes.base import build_pipeline
 from repro.core.profile_attach import attach_profile
 from repro.core.timing import timing_report_for
-from repro.core.validate import validate_execution, validate_rewrite
 
 
 class RewriteError(Exception):
@@ -65,7 +64,21 @@ class RewriteResult:
         return self.context.diagnostics
 
     def summary(self):
-        """A BOLT-INFO style textual report of what the run did."""
+        """A BOLT-INFO style textual report of what the run did: the
+        :meth:`info_lines`, the degraded-mode warning, the timing table
+        and every warning diagnostic."""
+        lines = self.info_lines()
+        if self.degraded:
+            lines.append(f"BOLT-WARNING: output degraded to "
+                         f"{self.degraded} mode")
+        if self.timing:
+            from repro.core.reports import format_timing_table
+            lines.append(format_timing_table(self.timing))
+        lines.extend(self.diagnostics.render(Severity.WARNING))
+        return "\n".join(lines)
+
+    def info_lines(self):
+        """The BOLT-INFO lines of :meth:`summary`."""
         functions = list(self.context.functions.values())
         simple = [f for f in functions if f.is_simple]
         profiled = [f for f in simple if f.has_profile]
@@ -106,14 +119,7 @@ class RewriteResult:
             lines.append(
                 "BOLT-INFO: stale profile fuzzy-matched"
                 + (f" (quality {quality:.1%})" if quality is not None else ""))
-        if self.degraded:
-            lines.append(f"BOLT-WARNING: output degraded to "
-                         f"{self.degraded} mode")
-        if self.timing:
-            from repro.core.reports import format_timing_table
-            lines.append(format_timing_table(self.timing))
-        lines.extend(self.diagnostics.render(Severity.WARNING))
-        return "\n".join(lines)
+        return lines
 
 
 def optimize_binary(binary, profile=None, options=None):
@@ -121,12 +127,15 @@ def optimize_binary(binary, profile=None, options=None):
     ``.binary`` is the optimized executable.
 
     Fault tolerance: per-function failures are contained by the pass
-    manager; a post-rewrite validation gate re-disassembles the output
-    and, on failure, walks a graceful-degradation ladder — retry
-    without relocations (in-place mode), then fall back to returning
-    the original binary — instead of shipping a corrupt executable.
-    In ``options.strict`` mode every contained event raises instead.
+    manager; the validation gate of :mod:`repro.analysis.binlint`
+    judges the output and, on failure, the driver walks a
+    graceful-degradation ladder — retry without relocations (in-place
+    mode), then fall back to returning the original binary — instead of
+    shipping a corrupt executable.  In ``options.strict`` mode the
+    first failure raises instead.
     """
+    from repro.analysis.binlint import gate_problems
+
     options = options or BoltOptions()
 
     # The static tier certifies the rewrite against the *input*'s
@@ -134,29 +143,15 @@ def optimize_binary(binary, profile=None, options=None):
     # dangling relocations) is rejected before any rewrite attempt —
     # some corruptions would otherwise crash discovery mid-attempt and
     # lose the precise rule-ID diagnosis.
-    if options.validate_output in ("static", "execute"):
-        input_problems = _input_lint_problems(binary, options)
-        if input_problems:
-            if options.strict:
-                raise RewriteError("input fails static lint: "
-                                   + "; ".join(input_problems[:5]))
-            result = _passthrough_result(binary, profile, options)
-            for problem in input_problems[:10]:
-                result.diagnostics.error(
-                    "validate", f"input fails static lint: {problem}")
-            result.diagnostics.warning(
-                "validate", "input fails static lint; returning the "
-                "original binary unchanged")
-            return result
-
-    if options.strict:
-        result = _optimize_once(binary, profile, options)
-        with _phase(result.timing, "validate gate"):
-            problems = _gate_problems(binary, result, options)
-        if problems:
-            raise RewriteError(
-                "post-rewrite validation failed: " + "; ".join(problems[:5]))
-        return result
+    problems = gate_problems(binary, options)
+    if problems:
+        if options.strict:
+            raise RewriteError("; ".join(problems[:5]))
+        return _passthrough_result(
+            binary, profile, options,
+            [("validate", problem) for problem in problems[:10]],
+            "input fails static lint; returning the original binary "
+            "unchanged")
 
     attempts = [(None, options)]
     wants_relocs = (options.use_relocations
@@ -167,17 +162,19 @@ def optimize_binary(binary, profile=None, options=None):
 
     carried = []
     for degraded, opts in attempts:
+        suffix = "" if degraded is None else f":{degraded}"
         try:
             result = _optimize_once(binary, profile, opts)
         except Exception as exc:
-            carried.append(("rewrite" if degraded is None
-                            else f"rewrite:{degraded}",
-                            f"rewrite failed ({type(exc).__name__}: {exc})"))
+            if options.strict:
+                raise
+            carried.append((f"rewrite{suffix}", f"rewrite failed "
+                            f"({type(exc).__name__}: {exc})"))
             continue
         for component, message in carried:
             result.diagnostics.error(component, message)
         with _phase(result.timing, "validate gate"):
-            problems = _gate_problems(binary, result, opts)
+            problems = gate_problems(binary, opts, result)
         if not problems:
             result.degraded = degraded
             if degraded:
@@ -185,18 +182,17 @@ def optimize_binary(binary, profile=None, options=None):
                     "validate", f"degraded to {degraded} mode after "
                     f"validation failure on the preferred mode")
             return result
-        for problem in problems[:10]:
-            carried.append(("validate" if degraded is None
-                            else f"validate:{degraded}", problem))
+        if options.strict:
+            raise RewriteError("post-rewrite validation failed: "
+                               + "; ".join(problems[:5]))
+        carried.extend((f"validate{suffix}", problem)
+                       for problem in problems[:10])
 
     # Last rung: ship the original binary unmodified.
-    result = _passthrough_result(binary, profile, options)
-    for component, message in carried:
-        result.diagnostics.error(component, message)
-    result.diagnostics.warning(
-        "validate", "all rewrite attempts failed validation; returning "
-        "the original binary unchanged")
-    return result
+    return _passthrough_result(
+        binary, profile, options, carried,
+        "all rewrite attempts failed validation; returning the original "
+        "binary unchanged")
 
 
 def _phase(timing, name):
@@ -224,7 +220,7 @@ def _optimize_once(binary, profile, options):
     manager = build_pipeline(options)
     with _phase(timing, "optimization passes"):
         pass_stats = manager.run(context)
-    if getattr(options, "lint", "none") not in (None, "none", False):
+    if options.lint not in (None, "none", False):
         with _phase(timing, "lint gate"):
             _lint_gate(context)
     with _phase(timing, "dyno-stats (output)"):
@@ -252,7 +248,7 @@ def _lint_gate(context):
     from repro.core.cfg_builder import demote_to_raw
 
     by_function = lint_context(
-        context, suppress=getattr(context.options, "lint_suppress", ()))
+        context, suppress=context.options.lint_suppress)
     for name, findings in by_function.items():
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         for finding in findings:
@@ -272,71 +268,10 @@ def _lint_gate(context):
                       f"lint {first.rule} after passes")
 
 
-def _gate_problems(binary, result, options):
-    """Run the post-rewrite validation gate; returns problem strings.
-
-    Tiers (each level includes the previous ones):
-
-    * ``structural`` — well-formedness of the emitted binary.
-    * ``static`` — whole-binary lint of the input and output plus
-      translation validation of every emitted function against its
-      optimized IR (rule IDs ``BL1xx``/``BL2xx``/``BL0xx``).
-    * ``execute`` — a smoke run comparing program output.
-    """
-    level = options.validate_output
-    if level in (None, "none"):
-        return []
-    problems = validate_rewrite(result.context, result.binary)
-    if not problems and level in ("static", "execute"):
-        problems = _static_problems(binary, result, options)
-    if not problems and level == "execute":
-        problems = validate_execution(
-            binary, result.binary, inputs=options.validate_inputs,
-            max_instructions=options.validate_max_instructions,
-            diagnostics=result.context.diagnostics)
-    return problems
-
-
-def _render_finding(finding):
-    where = f" [{finding.function}]" if finding.function else ""
-    return f"{finding.rule}{where}: {finding.message}"
-
-
-def _input_lint_problems(binary, options):
-    """Static lint of the input binary (the static tier's first leg)."""
-    from repro.analysis import lint_binary
-
-    report = lint_binary(binary, options=options,
-                         suppress=getattr(options, "lint_suppress", ()))
-    return [_render_finding(f) for f in report.errors]
-
-
-def _static_problems(binary, result, options):
-    """The static-equivalence tier of the validation gate.
-
-    Input trustworthiness is checked once, up front, in
-    :func:`optimize_binary`; here the emitted candidate is linted and
-    matched against the optimized IR.
-    """
-    from repro.analysis import lint_binary, validate_translation
-
-    suppress = getattr(options, "lint_suppress", ())
-    render = _render_finding
-
-    problems = [f"output fails static lint: {render(f)}"
-                for f in lint_binary(result.binary, options=options,
-                                     suppress=suppress).errors]
-    problems += [
-        f"translation validation: {render(f)}"
-        for f in validate_translation(
-            result.context, result.binary, result.fragments,
-            skip=set(result.reverted))
-    ]
-    return problems
-
-
-def _passthrough_result(binary, profile, options):
-    """The ladder's last rung: the input binary, reported honestly."""
+def _passthrough_result(binary, profile, options, carried=(), why=None):
+    """The ladder's last rung: the input binary, reported honestly —
+    with the ``carried`` (component, message) errors and a ``why``
+    warning."""
     context = BinaryContext(binary, options)
     try:
         discover_functions(context)
@@ -355,6 +290,10 @@ def _passthrough_result(binary, profile, options):
     result = RewriteResult(binary, context, {}, None, None)
     result.degraded = "passthrough"
     result.hot_text_size = binary.text_size()
+    for component, message in carried:
+        result.diagnostics.error(component, message)
+    if why:
+        result.diagnostics.warning("validate", why)
     return result
 
 

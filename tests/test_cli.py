@@ -143,3 +143,43 @@ def test_cli_profile_rejects_nonpositive_period(workdir, capsys, period):
     assert len(err) == 1
     assert err[0].startswith("BOLT-ERROR: malformed input")
     assert not fdata.exists()
+
+
+def test_cli_bolt_verbose_prints_each_line_once(workdir, capsys):
+    """``-v`` with the timing options prints the timing tables, every
+    BOLT-WARNING and the degraded line once, not once more in the
+    summary."""
+    from repro.belf import read_binary, write_binary
+    from repro.faults import inject_binary_fault
+
+    exe = workdir / "app.belf"
+    fdata = workdir / "app.fdata"
+    main(["build", str(workdir / "app.bc"), "-o", str(exe)])
+    main(["profile", str(exe), "-o", str(fdata), "--period", "51"])
+    corrupted, _ = inject_binary_fault(read_binary(exe.read_bytes()),
+                                       "garbage-text", targets=["helper"])
+    bad = workdir / "app.bad.belf"
+    bad.write_bytes(write_binary(corrupted))
+    capsys.readouterr()
+    assert main(["bolt", str(bad), "-p", str(fdata),
+                 "-o", str(workdir / "app.bolt.belf"), "-v",
+                 "--time-opts", "--time-rewrite"]) == 0
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert "BOLT-WARNING: output degraded to in-place mode" in lines
+    once = [l for l in lines if l.startswith(
+        ("BOLT-WARNING", "BOLT-INFO: pass timing", "BOLT-INFO: rewrite"))]
+    assert len(once) > 3
+    assert len(once) == len(set(once)), sorted(once)
+
+
+@pytest.mark.parametrize("level", ["7", "-1"])
+def test_cli_bolt_rejects_out_of_range_split_functions(workdir, capsys, level):
+    exe = workdir / "app.belf"
+    main(["build", str(workdir / "app.bc"), "-o", str(exe)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bolt", str(exe), "-o", str(workdir / "app.bolt.belf"),
+              f"--split-functions={level}"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -232,7 +232,9 @@ def test_whole_pass_crash_containment(rig, monkeypatch):
 
 
 def test_verify_cfg_demotes_corrupted_function(rig, monkeypatch):
-    """verify_cfg catches a pass that corrupts a CFG without raising."""
+    """A pass that corrupts a CFG without raising is caught under
+    default options: the victim is demoted, a warning names it, and the
+    output still runs identically."""
     from repro.core.passes.peepholes import Peepholes
 
     victim = {}
@@ -247,11 +249,10 @@ def test_verify_cfg_demotes_corrupted_function(rig, monkeypatch):
         return original(self, context, func)
 
     monkeypatch.setattr(Peepholes, "run_on_function", corrupting)
-    result = optimize_binary(rig["exe"], rig["profile"],
-                             BoltOptions(verify_cfg=True))
+    result = optimize_binary(rig["exe"], rig["profile"], BoltOptions())
     func = result.context.functions[victim["name"]]
     assert not func.is_simple
-    assert any("CFG invariants violated" in d.message
+    assert any(d.function == victim["name"]
                for d in result.diagnostics.warnings)
     cpu = run_binary(result.binary, inputs=rig["workload"].inputs,
                      max_instructions=MAX_INSNS)
