@@ -18,7 +18,7 @@ Subpackages:
 * ``repro.linker``     - the static linker (--emit-relocs, ICF, PLT)
 * ``repro.uarch``      - the machine + performance model (caches, TLBs,
   branch predictors, LBR)
-* ``repro.profiling``  - sampling profiler, perf2bolt, .fdata/YAML formats
+* ``repro.profiling``  - sampling profiler, perf2bolt, .fdata format
 * ``repro.core``       - **BOLT itself** (the paper's contribution)
 * ``repro.workloads``  - synthetic data-center/compiler workload generators
 * ``repro.harness``    - end-to-end experiment flows

@@ -365,7 +365,6 @@ def main(argv=None):
     from repro.core.rewriter import RewriteError
     from repro.lang import LexError, ParseError, SemaError
     from repro.linker import LinkError
-    from repro.profiling import YamlProfileError
     from repro.uarch import ExecutionLimitExceeded, MachineFault
 
     parser = make_parser()
@@ -376,7 +375,7 @@ def main(argv=None):
         print(f"BOLT-ERROR: no such file: {exc.filename}", file=sys.stderr)
     except (LexError, ParseError, SemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except (BelfFormatError, YamlProfileError, ValueError) as exc:
+    except (BelfFormatError, ValueError) as exc:
         # Malformed binary / profile inputs: one diagnostic line, no
         # Python traceback.
         print(f"BOLT-ERROR: malformed input: {exc}", file=sys.stderr)

@@ -3,12 +3,13 @@
 Implements the profiling techniques of paper section 5: hardware-style
 sampling with configurable events and PEBS-style skid, LBR capture,
 aggregation of raw samples into a binary-level profile (perf2bolt), the
-``.fdata``-like on-disk format, and — for the non-LBR ablations — edge
-recovery via flow-equation repair and minimum-cost-flow inference.
+``.fdata``-like on-disk format (one writer, one reader), fleet shard
+merging (merge-fdata), and — for the non-LBR ablations — edge recovery
+via flow-equation repair and minimum-cost-flow inference.
 """
 
 from repro.profiling.events import Sampler, SamplingConfig, EVENT_PRESETS
-from repro.profiling.profile import BinaryProfile, write_fdata, parse_fdata
+from repro.profiling.profile import BinaryProfile, write_fdata
 from repro.profiling.aggregate import (
     aggregate_samples,
     profile_binary,
@@ -24,6 +25,7 @@ from repro.profiling.merge import (
     ShardStats,
     merge_profiles,
     normalize_profile,
+    parse_fdata,
     parse_fdata_shard,
     remap_profile_names,
     scale_profile,
@@ -35,11 +37,6 @@ from repro.profiling.accuracy import (
     ir_edge_truth,
     binary_block_truth,
     sampled_block_estimate,
-)
-from repro.profiling.yamlprofile import (
-    write_yaml_profile,
-    parse_yaml_profile,
-    YamlProfileError,
 )
 
 __all__ = [
@@ -70,7 +67,4 @@ __all__ = [
     "ir_edge_truth",
     "binary_block_truth",
     "sampled_block_estimate",
-    "write_yaml_profile",
-    "parse_yaml_profile",
-    "YamlProfileError",
 ]

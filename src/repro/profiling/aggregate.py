@@ -382,7 +382,7 @@ def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
             matcher and downweighted by their measured match quality.
             Without it, the fleet-majority build-id group is the
             reference and off-reference shards get
-            ``stale_downweight``.
+            ``stale_downweight``, which must lie in [0, 1].
         cache_dir: on-disk shard cache directory (None = no cache).
         min_match_quality: stale shards matching below this fraction
             are excluded entirely (FD013).
@@ -391,6 +391,9 @@ def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
     """
     from repro.core.diagnostics import Diagnostics
 
+    if not 0 <= stale_downweight <= 1:
+        raise ValueError(
+            f"stale downweight {stale_downweight!r} is not in [0, 1]")
     diags = diagnostics
     if diags is None:
         diags = Diagnostics(strict=False)

@@ -5,11 +5,12 @@ production hosts continuously; the per-host LBR collections become one
 ``.fdata`` via ``merge-fdata`` before the rewrite ever runs.  This
 module is the algebra underneath that tool:
 
-* a **tolerant shard parser** that turns malformed ``.fdata`` lines
-  into stable-rule-ID diagnostics (``FD0xx``) instead of exceptions —
-  a fleet always contains a truncated upload or a corrupt writer, and
-  one bad host must never sink the aggregation (PR 1 containment
-  spirit);
+* the one ``.fdata`` reader: a **tolerant shard parser** that turns
+  malformed lines into stable-rule-ID diagnostics (``FD0xx``) instead
+  of exceptions — a fleet always contains a truncated upload or a
+  corrupt writer, and one bad host must never sink the aggregation —
+  plus :func:`parse_fdata`, its strict front end for a single trusted
+  profile, which refuses the first line the grammar would drop;
 * a deterministic **normal form** for profiles (sorted records,
   zero-mass records dropped);
 * a weighted **merge** that is commutative and associative *by
@@ -24,6 +25,7 @@ arithmetic; ``weight == 1`` is an exact identity.
 """
 
 import hashlib
+from urllib.parse import unquote
 
 from repro.profiling.profile import BinaryProfile
 
@@ -130,24 +132,42 @@ class ShardStats:
         return stats
 
 
-def _unesc(name):
-    return name.replace("%20", " ").replace("%25", "%")
+class _UnescapedNames(dict):
+    """name field -> function name, unescaped once per distinct field."""
+
+    def __missing__(self, field):
+        name = self[field] = unquote(field)
+        return name
 
 
-def parse_fdata_shard(text, diags=None, shard=None):
+def parse_fdata(text):
+    """Strict ``.fdata`` parse of one profile (``bolt -p``, ``dump -p``).
+
+    The grammar is :func:`parse_fdata_shard`'s; the first line that
+    parser would drop raises ``ValueError`` naming its rule and line.
+    """
+    return parse_fdata_shard(text, strict=True)[0]
+
+
+def parse_fdata_shard(text, diags=None, shard=None, strict=False):
     """Tolerant ``.fdata`` parse: returns ``(BinaryProfile, ShardStats)``.
 
-    Unlike :func:`repro.profiling.profile.parse_fdata`, malformed,
-    truncated, or mixed-header lines never raise: each rejected line is
-    dropped and surfaced as an ``FD0xx`` diagnostic (capped per rule at
-    :data:`MAX_LINE_DIAGS` individual lines plus one summary).
+    Malformed, truncated, or mixed-header lines never raise: each
+    rejected line is dropped and surfaced as an ``FD0xx`` diagnostic
+    (capped per rule at :data:`MAX_LINE_DIAGS` individual lines plus
+    one summary).  With ``strict`` the first rejected line raises
+    ``ValueError`` instead.
     """
     profile = BinaryProfile()
     stats = ShardStats()
     seen_headers = {}
     pending = {}    # rule id -> [example messages...] beyond the cap
+    names = _UnescapedNames()
 
-    def reject(rule_id, raw):
+    def reject(rule_id, raw, line_no):
+        if strict:
+            raise ValueError(f"{rule_id} ({FDATA_RULES[rule_id].name}) "
+                             f"at line {line_no}: {raw!r}")
         stats.drop(rule_id)
         n = stats.dropped[rule_id]
         if n <= MAX_LINE_DIAGS:
@@ -155,51 +175,49 @@ def parse_fdata_shard(text, diags=None, shard=None):
         else:
             pending[rule_id] = pending.get(rule_id, 0) + 1
 
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             _parse_header(profile, line, seen_headers,
-                          lambda rid, msg=line: reject(rid, msg))
+                          lambda rid: reject(rid, line, line_no))
             continue
         stats.lines += 1
         parts = line.split()
         if parts[0] == "1":
             if len(parts) != 8 or parts[3] != "1":
-                reject("FD001", raw)
+                reject("FD001", raw, line_no)
                 continue
             try:
-                from_loc = (_unesc(parts[1]), int(parts[2], 16))
-                to_loc = (_unesc(parts[4]), int(parts[5], 16))
+                from_loc = (names[parts[1]], int(parts[2], 16))
+                to_loc = (names[parts[4]], int(parts[5], 16))
                 mispred, count = int(parts[6]), int(parts[7])
             except ValueError:
-                reject("FD004", raw)
+                reject("FD004", raw, line_no)
                 continue
             if count < 0 or mispred < 0:
-                reject("FD005", raw)
+                reject("FD005", raw, line_no)
                 continue
-            entry = profile.branches.setdefault((from_loc, to_loc), [0, 0])
-            entry[0] += count
-            entry[1] += mispred
+            profile.add_branch(from_loc, to_loc, mispred, count)
             stats.branch_lines += 1
         elif parts[0] == "S":
             if len(parts) != 4:
-                reject("FD002", raw)
+                reject("FD002", raw, line_no)
                 continue
             try:
-                loc = (_unesc(parts[1]), int(parts[2], 16))
+                loc = (names[parts[1]], int(parts[2], 16))
                 count = int(parts[3])
             except ValueError:
-                reject("FD004", raw)
+                reject("FD004", raw, line_no)
                 continue
             if count < 0:
-                reject("FD005", raw)
+                reject("FD005", raw, line_no)
                 continue
             profile.add_sample(loc, count)
             stats.sample_lines += 1
         else:
-            reject("FD003", raw)
+            reject("FD003", raw, line_no)
 
     for rule_id, extra in sorted(pending.items()):
         _emit(diags, rule_id,
@@ -242,10 +260,9 @@ def normalize_profile(profile):
     """
     out = BinaryProfile(event=profile.event, lbr=profile.lbr,
                         build_id=profile.build_id)
-    for key in sorted(profile.branches):
-        count, mispred = profile.branches[key]
+    for (f, t), (count, mispred) in sorted(profile.branches.items()):
         if count > 0 or mispred > 0:
-            out.branches[key] = [count, mispred]
+            out.add_branch(f, t, mispred, count)
     for loc in sorted(profile.ip_samples):
         count = profile.ip_samples[loc]
         if count > 0:
@@ -259,9 +276,9 @@ def scale_profile(profile, weight):
         return profile
     out = BinaryProfile(event=profile.event, lbr=profile.lbr,
                         build_id=profile.build_id)
-    for key, (count, mispred) in profile.branches.items():
-        out.branches[key] = [int(round(count * weight)),
-                             int(round(mispred * weight))]
+    for (f, t), (count, mispred) in profile.branches.items():
+        out.add_branch(f, t, int(round(mispred * weight)),
+                       int(round(count * weight)))
     for loc, count in profile.ip_samples.items():
         out.ip_samples[loc] = int(round(count * weight))
     return out
@@ -298,12 +315,10 @@ def merge_profiles(profiles, weights=None, diags=None):
                   if len(build_ids) == 1 and None not in build_ids else None))
     for profile, weight in zip(profiles, weights):
         scaled = scale_profile(profile, weight)
-        for key, (count, mispred) in scaled.branches.items():
-            entry = merged.branches.setdefault(key, [0, 0])
-            entry[0] += count
-            entry[1] += mispred
+        for (f, t), (count, mispred) in scaled.branches.items():
+            merged.add_branch(f, t, mispred, count)
         for loc, count in scaled.ip_samples.items():
-            merged.ip_samples[loc] = merged.ip_samples.get(loc, 0) + count
+            merged.add_sample(loc, count)
     return normalize_profile(merged)
 
 
@@ -319,13 +334,10 @@ def remap_profile_names(profile, remap):
     out = BinaryProfile(event=profile.event, lbr=profile.lbr,
                         build_id=profile.build_id)
     for ((fn, fo), (tn, to)), (count, mispred) in profile.branches.items():
-        key = ((remap.get(fn, fn), fo), (remap.get(tn, tn), to))
-        entry = out.branches.setdefault(key, [0, 0])
-        entry[0] += count
-        entry[1] += mispred
+        out.add_branch((remap.get(fn, fn), fo), (remap.get(tn, tn), to),
+                       mispred, count)
     for (name, off), count in profile.ip_samples.items():
-        loc = (remap.get(name, name), off)
-        out.ip_samples[loc] = out.ip_samples.get(loc, 0) + count
+        out.add_sample((remap.get(name, name), off), count)
     return out
 
 

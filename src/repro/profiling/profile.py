@@ -5,6 +5,14 @@ profile survives re-linking at different addresses — the same reason
 BOLT's .fdata format is symbolic.
 """
 
+import re
+from urllib.parse import quote
+
+#: The characters a function name must not carry raw into a record
+#: line: ``%`` (the escape itself) and everything ``str.split`` and
+#: ``str.splitlines`` break on, i.e. every ``str.isspace()`` character.
+_ESCAPED_CHARS = re.compile(r"[%\s]")
+
 
 class BinaryProfile:
     """Aggregated sample profile against one binary.
@@ -28,14 +36,16 @@ class BinaryProfile:
         self.lbr = lbr
         self.build_id = build_id
 
-    def add_branch(self, from_loc, to_loc, mispred=False, count=1):
-        entry = self.branches.get((from_loc, to_loc))
+    def add_branch(self, from_loc, to_loc, mispred=0, count=1):
+        """Add ``count`` traversals and ``mispred`` mispredicts to one
+        branch record (a bool ``mispred`` counts as one mispredict)."""
+        key = (from_loc, to_loc)
+        entry = self.branches.get(key)
         if entry is None:
-            self.branches[(from_loc, to_loc)] = [count, 1 if mispred else 0]
+            self.branches[key] = [count, int(mispred)]
         else:
             entry[0] += count
-            if mispred:
-                entry[1] += 1
+            entry[1] += mispred
 
     def add_sample(self, loc, count=1):
         self.ip_samples[loc] = self.ip_samples.get(loc, 0) + count
@@ -86,60 +96,31 @@ class BinaryProfile:
         return len(self.branches) + len(self.ip_samples)
 
 
+class _EscapedNames(dict):
+    """name -> percent-escaped name, escaped once per distinct name."""
+
+    def __missing__(self, name):
+        escaped = self[name] = _ESCAPED_CHARS.sub(
+            lambda m: quote(m.group(), safe=""), name)
+        return escaped
+
+
 def write_fdata(profile):
     """Serialize to the .fdata-like text format.
 
     Branch lines:  ``1 <from_func> <from_off> 1 <to_func> <to_off>
     <mispreds> <count>``; sample lines: ``S <func> <off> <count>``.
-    Function names are URL-style escaped for embedded spaces.
+    Function names are URL-style percent-escaped (UTF-8) for ``%`` and
+    every whitespace character, so any symbol name stays one field.
+    :func:`repro.profiling.merge.parse_fdata` reads the format back.
     """
-    def esc(name):
-        return name.replace("%", "%25").replace(" ", "%20")
-
+    esc = _EscapedNames()
     lines = [f"# event: {profile.event}", f"# lbr: {1 if profile.lbr else 0}"]
     if profile.build_id:
         lines.insert(1, f"# build-id: {profile.build_id}")
     for (f, t), (count, mispred) in sorted(profile.branches.items()):
         lines.append(
-            f"1 {esc(f[0])} {f[1]:x} 1 {esc(t[0])} {t[1]:x} {mispred} {count}")
+            f"1 {esc[f[0]]} {f[1]:x} 1 {esc[t[0]]} {t[1]:x} {mispred} {count}")
     for loc, count in sorted(profile.ip_samples.items()):
-        lines.append(f"S {esc(loc[0])} {loc[1]:x} {count}")
+        lines.append(f"S {esc[loc[0]]} {loc[1]:x} {count}")
     return "\n".join(lines) + "\n"
-
-
-def parse_fdata(text):
-    """Parse the .fdata-like format back into a BinaryProfile."""
-    def unesc(name):
-        return name.replace("%20", " ").replace("%25", "%")
-
-    profile = BinaryProfile()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# event:"):
-                profile.event = line.split(":", 1)[1].strip()
-            elif line.startswith("# lbr:"):
-                profile.lbr = line.split(":", 1)[1].strip() == "1"
-            elif line.startswith("# build-id:"):
-                profile.build_id = line.split(":", 1)[1].strip() or None
-            continue
-        parts = line.split()
-        if parts[0] == "1":
-            if len(parts) != 8 or parts[3] != "1":
-                raise ValueError(f"malformed fdata branch line: {raw!r}")
-            from_loc = (unesc(parts[1]), int(parts[2], 16))
-            to_loc = (unesc(parts[4]), int(parts[5], 16))
-            mispred, count = int(parts[6]), int(parts[7])
-            entry = profile.branches.setdefault((from_loc, to_loc), [0, 0])
-            entry[0] += count
-            entry[1] += mispred
-        elif parts[0] == "S":
-            if len(parts) != 4:
-                raise ValueError(f"malformed fdata sample line: {raw!r}")
-            profile.add_sample((unesc(parts[1]), int(parts[2], 16)),
-                               int(parts[3]))
-        else:
-            raise ValueError(f"malformed fdata line: {raw!r}")
-    return profile

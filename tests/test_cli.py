@@ -183,3 +183,46 @@ def test_cli_bolt_rejects_out_of_range_split_functions(workdir, capsys, level):
               f"--split-functions={level}"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bolt", "dump"])
+def test_cli_negative_count_profile_is_refused(workdir, capsys, command):
+    """A trusted single profile is read strictly: a line the shard
+    parser would drop (here FD005) refuses the whole file."""
+    exe = workdir / "app.belf"
+    main(["build", str(workdir / "app.bc"), "-o", str(exe)])
+    fdata = workdir / "neg.fdata"
+    fdata.write_text("# event: cycles\n1 main 4 1 helper 0 0 5\n"
+                     "1 helper 8 1 main 9 0 -3\n")
+    capsys.readouterr()
+    argv = [command, str(exe), "-p", str(fdata)]
+    argv += ["-o", str(workdir / "out.belf")] if command == "bolt" else []
+    assert main(argv) == 1
+    err = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert len(err) == 1
+    assert err[0].startswith("BOLT-ERROR: malformed input: FD005")
+    assert "line 3" in err[0]
+
+
+def test_cli_whitespace_in_symbol_name_roundtrips(workdir, capsys):
+    """Symbol names are arbitrary strings: a tab in one must survive
+    profile -> .fdata -> bolt -p."""
+    from repro.belf import read_binary, write_binary
+
+    exe = workdir / "app.belf"
+    main(["build", str(workdir / "app.bc"), "-O", "0", "-o", str(exe)])
+    binary = read_binary(exe.read_bytes())
+    binary.get_symbol("helper").name = "hel\tper"
+    exe.write_bytes(write_binary(binary))
+    fdata = workdir / "app.fdata"
+    assert main(["profile", str(exe), "-o", str(fdata),
+                 "--period", "51"]) == 0
+    assert "hel%09per" in fdata.read_text()
+    capsys.readouterr()
+    assert main(["run", str(exe)]) == 0
+    baseline = capsys.readouterr().out
+    bolted = workdir / "app.bolt.belf"
+    assert main(["bolt", str(exe), "-p", str(fdata), "-o", str(bolted)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(bolted)]) == 0
+    assert capsys.readouterr().out == baseline

@@ -14,6 +14,7 @@ from repro.core.diagnostics import Diagnostics, Severity
 from repro.profiling import (
     BinaryProfile,
     FDATA_RULES,
+    parse_fdata,
     parse_fdata_shard,
     write_fdata,
 )
@@ -155,3 +156,25 @@ def test_fuzz_junk_injection_preserves_valid_records(junk, rng):
     assert parsed.build_id == "bid-a"
     # Nothing silent: one diagnostic per rejected line (under the cap).
     assert len(diags) == len(junk)
+
+
+STRICT_POOL = ([GOOD_LINE, "S a 1 3", "# build-id: aaa", "# build-id: bbb"]
+               + [line for line, _ in MALFORMED_CASES])
+
+
+@given(st.lists(st.sampled_from(STRICT_POOL), max_size=8))
+@settings(deadline=None, max_examples=150)
+def test_prop_strict_parse_is_the_shard_parse(lines):
+    """parse_fdata raises iff parse_fdata_shard drops a line, naming the
+    first dropped line's rule; otherwise both return the same profile."""
+    text = "\n".join(lines)
+    diags = Diagnostics()
+    tolerant, stats = parse_fdata_shard(text, diags)
+    if stats.dropped_total:
+        rule, _, raw = next(iter(diags)).message.partition(": dropped line ")
+        with pytest.raises(ValueError) as exc:
+            parse_fdata(text)
+        assert str(exc.value).startswith(rule + " ")
+        assert str(exc.value).endswith(raw)
+    else:
+        assert vars(parse_fdata(text)) == vars(tolerant)

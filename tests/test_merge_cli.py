@@ -240,3 +240,17 @@ def test_merge_min_match_quality_excludes_shard(rig, capsys):
                         "--min-match-quality", "1.1"]) == 0
     assert "FD013" in capsys.readouterr().err
     assert parse_fdata(merged.read_text()).total_branch_count() == 0
+
+
+@pytest.mark.parametrize("factor", ["-1", "5"])
+def test_merge_stale_downweight_out_of_range(rig, capsys, factor):
+    """A factor outside [0, 1] would subtract or amplify stale mass."""
+    root = rig["root"]
+    merged = root / "badfactor.fdata"
+    argv = ["merge-fdata"] + [str(s) for s in rig["shards"]]
+    assert main(argv + ["-o", str(merged),
+                        f"--stale-downweight={factor}"]) == 1
+    err = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+    assert len(err) == 1
+    assert err[0].startswith("BOLT-ERROR:") and "stale downweight" in err[0]
+    assert not merged.exists()
