@@ -41,6 +41,7 @@ from repro.core.hfsort import CallGraph, hfsort, hfsort_plus
 from repro.core.layout_algos import _ext_tsp
 from repro.harness import build_workload, sample_profile
 from repro.harness.pipeline import bolt_processing_time
+from repro.workloads import make_workload
 
 pytestmark = pytest.mark.perf
 
@@ -231,6 +232,13 @@ def test_aggregation_throughput():
         assert write_fdata(result.profile) == write_fdata(first.profile)
         assert result.to_json() == first.to_json()
     t_serial = sorted(samples)[len(samples) // 2]
+
+    # Against a target binary the first call builds the matching
+    # context and later calls reuse it: every call merges the same bytes.
+    binary = build_workload(make_workload("mini")).exe
+    against = [aggregate_shards(shards, binary=binary) for _ in range(3)]
+    assert len({write_fdata(r.profile) for r in against}) == 1
+    assert len({r.to_json() for r in against}) == 1
 
     serial_rate = n_shards / max(t_serial, 1e-9)
     print_table(

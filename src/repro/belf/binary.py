@@ -20,6 +20,12 @@ class Binary:
         line_table: :class:`LineTable` or None.
         entry: entry-point address (exec) or symbol name (object).
         emit_relocs: whether relocations were preserved post-link.
+
+    Once a binary is in use — simulated, or matched against by the
+    fleet aggregator — treat it as immutable and edit a copy instead
+    (``read_binary(write_binary(binary))``): the simulator's per-binary
+    trace cache never re-checks it, and the aggregator's matching
+    context notices only changes that :meth:`content_hash` covers.
     """
 
     def __init__(self, kind="object", name=""):
@@ -37,6 +43,11 @@ class Binary:
         #: these into the executable's flat ``line_table``.
         self.func_line_tables = {}
         self._symbols_by_link_name = None
+        #: ``(content hash, BinaryContext)``: the CFGs the fleet
+        #: aggregator matches shards against, built on first need
+        #: (``repro.profiling.aggregate``).  The context is detached
+        #: from this binary, so the two are freed together.
+        self._matching_context = None
 
     # -- sections ---------------------------------------------------------
 

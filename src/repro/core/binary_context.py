@@ -56,6 +56,24 @@ class BinaryContext:
         self._builtin_addrs = frozenset(BUILTINS.values())
 
         self.functions = {}    # link name -> BinaryFunction (filled by discovery)
+        self._build_id = None
+
+    @property
+    def build_id(self):
+        """The input binary's ``content_hash``, computed on first use: a
+        context describes one fixed code image."""
+        if self._build_id is None:
+            self._build_id = self.binary.content_hash()
+        return self._build_id
+
+    def detach_binary(self):
+        """Drop the reference to the input binary once everything needed
+        has been built from it.  The functions, symbol indexes and build
+        id stay; queries that read the binary itself stop working.  A
+        detached context stored on its binary forms no reference cycle,
+        so dropping the binary frees both at once."""
+        self._build_id = self.build_id
+        self.binary = None
 
     # -- address queries ------------------------------------------------------
 

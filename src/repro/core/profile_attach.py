@@ -52,6 +52,7 @@ def attach_profile(context, profile):
     source_of = {fname: pname for pname, fname in remap.items()}
 
     entry_counts = _function_entry_counts(profile, remap)
+    within = profile.branches_by_function()
     rates = {}
     totals = _MatchTotals()
     for func in context.functions.values():
@@ -61,6 +62,7 @@ def attach_profile(context, profile):
         source = source_of.get(func.name, func.name)
         if profile.lbr:
             rates[func.name] = _attach_lbr(context, func, profile,
+                                           within.get(source, {}),
                                            source=source, fuzzy=stale,
                                            totals=totals)
         else:
@@ -137,7 +139,7 @@ def detect_stale(context, profile):
     applies it, and the fleet aggregator calls it per shard before
     deciding whether to reconcile the shard.
     """
-    actual = context.binary.content_hash()
+    actual = context.build_id
     if profile.build_id:
         if profile.build_id != actual:
             return True, (f"build id mismatch: profile {profile.build_id}, "
@@ -146,13 +148,15 @@ def detect_stale(context, profile):
     # Unstamped profile: structural heuristic.  Count intra-function
     # branch records whose endpoints miss instruction boundaries.
     total = bad = 0
+    within = profile.branches_by_function()
     for func in context.functions.values():
-        if not func.blocks:
+        records = within.get(func.name)
+        if not records or not func.blocks:
             continue
         boundaries = {insn.address - func.address
                       for block in func.blocks.values()
                       for insn in block.insns}
-        for (f_off, t_off) in profile.branches_within(func.name):
+        for (f_off, t_off) in records:
             total += 1
             if (not 0 <= f_off < func.size or not 0 <= t_off < func.size
                     or f_off not in boundaries or t_off not in boundaries):
@@ -264,11 +268,11 @@ def measure_match_quality(context, profile, remap=None):
     total = sum(count for (f, t), (count, _) in profile.branches.items()
                 if f[0] == t[0])
     matched = out_of_range = 0
+    within = profile.branches_by_function()
     for func in context.functions.values():
         if not func.is_simple:
             continue
-        source = source_of.get(func.name, func.name)
-        records = profile.branches_within(source)
+        records = within.get(source_of.get(func.name, func.name))
         if not records:
             continue
         index = _OffsetIndex(func)
@@ -372,10 +376,12 @@ def _match_record(func, index, from_off, to_off):
     return from_block, to_block
 
 
-def _attach_lbr(context, func, profile, source=None, fuzzy=False,
-                totals=None):
+def _attach_lbr(context, func, profile, records, source=None,
+                fuzzy=False, totals=None):
+    """Annotate ``func`` from ``records``, the intra-function branch
+    records of its profile name ``source`` (one entry of
+    :meth:`BinaryProfile.branches_by_function`)."""
     index = _OffsetIndex(func)
-    records = profile.branches_within(source or func.name)
     matched = total = dropped = 0
 
     # Reset profile annotations.

@@ -11,7 +11,8 @@ matcher, merged with explicit weighting and deterministic
 normalization, and summarized in a per-shard quality report.  An
 on-disk cache keyed by ``Binary.content_hash`` + shard content hash
 lets repeated aggregation runs skip re-parsing and re-reconciling
-unchanged shards.
+unchanged shards, and the CFG-bearing context shards are matched
+against is built once per binary, on the first shard that needs it.
 """
 
 import bisect
@@ -112,13 +113,21 @@ def profile_binary(binary, inputs=None, config=None, sampling=None,
 CACHE_VERSION = 1
 
 
+#: The fields of one shard-cache payload.
+_PAYLOAD_KEYS = frozenset(
+    ("version", "profile", "stats", "match", "stale", "remap", "diags"))
+
+
 class ShardCache:
     """On-disk cache of parsed + reconciled shards.
 
     Keyed by ``sha256(version : shard content hash : binary build id)``
     so a shard re-parses only when its bytes change, the target binary
-    changes, or the cache format changes.  Values are JSON (no pickle);
-    a corrupt entry reads as a miss.
+    changes, or the cache format changes.  Values are JSON (no pickle).
+    :meth:`load` returns a payload object of this cache version or
+    None; :func:`aggregate_shards` also treats a payload it cannot
+    decode into a profile, stats and diagnostics as a miss, so any
+    corrupt entry is re-parsed and overwritten.
     """
 
     def __init__(self, root):
@@ -137,10 +146,9 @@ class ShardCache:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if payload.get("version") != CACHE_VERSION:
-            return None
-        if not all(key in payload for key in
-                   ("profile", "stats", "match", "stale", "remap", "diags")):
+        if (not isinstance(payload, dict)
+                or payload.get("version") != CACHE_VERSION
+                or not _PAYLOAD_KEYS <= payload.keys()):
             return None
         return payload
 
@@ -299,8 +307,9 @@ def _resolve_weights(shards, weights, diags):
 
 
 def _build_attach_context(binary):
-    """A CFG-bearing context for fuzzy reconciliation (lazy core import
-    to keep the profiling package import-light)."""
+    """A CFG-bearing context for fuzzy reconciliation, detached from
+    ``binary``: matching reads only its functions and build id (lazy
+    core import to keep the profiling package import-light)."""
     from repro.core import BinaryContext, BoltOptions
     from repro.core.cfg_builder import build_all_functions
     from repro.core.discovery import discover_functions
@@ -308,10 +317,58 @@ def _build_attach_context(binary):
     context = BinaryContext(binary, BoltOptions())
     discover_functions(context)
     build_all_functions(context)
+    context.detach_binary()
     return context
 
 
-def _parse_one_shard(name, text, sha, binary_hash, context, cache):
+def _matching_context(binary, binary_hash):
+    """The context shards are matched against: built once per binary
+    and reused by every later :func:`aggregate_shards` call.
+
+    The memo sits on the binary itself, tagged with the
+    ``content_hash`` it was built for, so a binary whose code or
+    function symbols changed gets a fresh context.  The context holds
+    no reference back to the binary, so dropping the binary frees it,
+    its context and its simulator traces at once, without waiting for
+    the cycle collector.  What the hash does not cover (data sections,
+    relocations, frame records) falls under the contract the
+    simulator's per-binary trace cache (``repro.uarch.cpu``) already
+    relies on: a Binary is not edited once it is in use.  Matching only
+    reads the context, so sharing it is safe.
+    """
+    memo = binary._matching_context
+    if memo is None or memo[0] != binary_hash:
+        memo = binary._matching_context = (binary_hash,
+                                           _build_attach_context(binary))
+    return memo[1]
+
+
+def _decode_payload(payload):
+    """A cache payload as ``(profile, stats, match, stale, remap,
+    diags)``, or None when it does not decode into them."""
+    match, stale, remap = payload["match"], payload["stale"], payload["remap"]
+    try:
+        profile = profile_from_dict(payload["profile"])
+        stats = ShardStats.from_dict(payload["stats"])
+        diags = [(severity, message)
+                 for severity, message in payload["diags"]]
+    except (KeyError, TypeError, ValueError):
+        return None
+    quality = match.get("quality") if isinstance(match, dict) else None
+    well_formed = (
+        (match is None or isinstance(match, dict))
+        and type(quality) in (type(None), int, float)
+        and type(stale) is bool
+        and isinstance(remap, dict)
+        and all(type(target) is str for target in remap.values())
+        and all(severity in ("error", "warning") and type(message) is str
+                for severity, message in diags))
+    if not well_formed:
+        return None
+    return profile, stats, match, stale, remap, diags
+
+
+def _parse_one_shard(name, text, sha, binary, binary_hash, cache):
     """Parse + (if stale) reconcile one shard.  Returns a ShardReport
     plus the shard's local diagnostics (cached with it), which the
     caller replays in shard order."""
@@ -325,14 +382,12 @@ def _parse_one_shard(name, text, sha, binary_hash, context, cache):
     local = Diagnostics(strict=False)
     report = ShardReport(name, sha)
     payload = cache.load(sha, binary_hash) if cache else None
-    if payload is not None:
+    cached = _decode_payload(payload) if payload is not None else None
+    if cached is not None:
         report.cache = "hit"
-        report.profile = profile_from_dict(payload["profile"])
-        report.stats = ShardStats.from_dict(payload["stats"])
-        report.match = payload["match"]
-        report.stale = payload["stale"]
-        remap = {k: v for k, v in payload["remap"].items()}
-        for severity, message in payload["diags"]:
+        (report.profile, report.stats, report.match, report.stale, remap,
+         diags) = cached
+        for severity, message in diags:
             (local.error if severity == "error" else local.warning)(
                 "merge-fdata", message, function=name)
     else:
@@ -341,7 +396,8 @@ def _parse_one_shard(name, text, sha, binary_hash, context, cache):
         report.profile = profile
         report.stats = stats
         remap = {}
-        if context is not None:
+        if binary is not None:
+            context = _matching_context(binary, binary_hash)
             report.stale, _reason = detect_stale(context, profile)
             if report.stale:
                 remap, report.match = reconcile_shard(context, profile)
@@ -380,10 +436,16 @@ def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
         binary: the target Binary.  When given, shards whose build-id
             differs are reconciled through the PR 1 fuzzy stale-profile
             matcher and downweighted by their measured match quality.
-            Without it, the fleet-majority build-id group is the
+            The CFGs they are matched against are built once per
+            binary, on the first shard that misses the cache, and
+            reused by later calls with the same binary (rebuilt if its
+            ``content_hash`` changes); a batch of cache hits builds
+            none.  Without it, the fleet-majority build-id group is the
             reference and off-reference shards get
             ``stale_downweight``, which must lie in [0, 1].
-        cache_dir: on-disk shard cache directory (None = no cache).
+        cache_dir: on-disk shard cache directory (None = no cache).  An
+            entry that does not decode reads as a miss and is
+            overwritten.
         min_match_quality: stale shards matching below this fraction
             are excluded entirely (FD013).
 
@@ -400,7 +462,6 @@ def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
     shards = _as_named_shards(shards)
     weights = _resolve_weights(shards, weights, diags)
     binary_hash = binary.content_hash() if binary is not None else None
-    context = _build_attach_context(binary) if binary is not None else None
     cache = ShardCache(cache_dir) if cache_dir else None
 
     # Each shard is parsed against its own Diagnostics (the local list
@@ -409,7 +470,7 @@ def aggregate_shards(shards, weights=None, binary=None, cache_dir=None,
     for name, text in shards:
         report, local = _parse_one_shard(name, text,
                                          shard_content_hash(text),
-                                         binary_hash, context, cache)
+                                         binary, binary_hash, cache)
         diags.extend(local)
         reports.append(report)
 

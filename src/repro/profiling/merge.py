@@ -124,11 +124,18 @@ class ShardStats:
 
     @classmethod
     def from_dict(cls, data):
+        """Decode :meth:`as_dict`; anything else raises ValueError,
+        TypeError or KeyError."""
         stats = cls()
         stats.lines = data["lines"]
         stats.branch_lines = data["branch_lines"]
         stats.sample_lines = data["sample_lines"]
         stats.dropped = dict(data["dropped"])
+        if not (all(type(n) is int for n in (stats.lines, stats.branch_lines,
+                                             stats.sample_lines))
+                and all(type(rule) is str and type(n) is int
+                        for rule, n in stats.dropped.items())):
+            raise ValueError("malformed shard stats")
         return stats
 
 
@@ -395,10 +402,24 @@ def profile_to_dict(profile):
 
 
 def profile_from_dict(data):
-    profile = BinaryProfile(event=data["event"], lbr=data["lbr"],
-                            build_id=data["build_id"])
+    """Decode :func:`profile_to_dict`; anything else (a wrong type
+    anywhere, a record of the wrong arity) raises ValueError, TypeError
+    or KeyError."""
+    event, lbr, build_id = data["event"], data["lbr"], data["build_id"]
+    if not (type(event) is str and type(lbr) is bool
+            and (build_id is None or type(build_id) is str)):
+        raise ValueError("malformed profile header")
+    profile = BinaryProfile(event=event, lbr=lbr, build_id=build_id)
+    branches, samples = profile.branches, profile.ip_samples
     for fn, fo, tn, to, count, mispred in data["branches"]:
-        profile.branches[((fn, fo), (tn, to))] = [count, mispred]
+        if not (type(fn) is str and type(fo) is int and type(tn) is str
+                and type(to) is int and type(count) is int
+                and type(mispred) is int):
+            raise ValueError("malformed branch record")
+        branches[((fn, fo), (tn, to))] = [count, mispred]
     for name, off, count in data["samples"]:
-        profile.ip_samples[(name, off)] = count
+        if not (type(name) is str and type(off) is int
+                and type(count) is int):
+            raise ValueError("malformed sample record")
+        samples[(name, off)] = count
     return profile

@@ -52,13 +52,18 @@ class BinaryProfile:
 
     # -- queries -----------------------------------------------------------
 
-    def branches_within(self, func):
-        """Branch records fully inside one function."""
-        return {
-            (f[1], t[1]): (count, mispred)
-            for (f, t), (count, mispred) in self.branches.items()
-            if f[0] == func and t[0] == func
-        }
+    def branches_by_function(self):
+        """Branch records fully inside one function, grouped in one pass:
+        ``{func: {(from_off, to_off): (count, mispreds)}}``, each
+        function's records in profile order."""
+        out = {}
+        for (f, t), (count, mispred) in self.branches.items():
+            if f[0] == t[0]:
+                records = out.get(f[0])
+                if records is None:
+                    records = out[f[0]] = {}
+                records[(f[1], t[1])] = (count, mispred)
+        return out
 
     def calls_between(self):
         """Weighted inter-function transfers: {(caller, callee): count}.

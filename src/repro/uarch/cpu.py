@@ -155,6 +155,7 @@ def _cc_eval(cc, a, b):
 #: Traces describe the *pristine* code image, so they are valid for any
 #: Machine freshly loaded from the same Binary; machines whose code has
 #: been written (``machine.code_dirty``) stop using and feeding this.
+#: The Binary itself is never re-checked: see its immutability contract.
 _TRACE_CACHES = weakref.WeakKeyDictionary()
 
 

@@ -96,9 +96,9 @@ def test_calls_between(exe):
     assert calls.get(("main", "hot"), 0) > calls.get(("main", "cold"), 0)
 
 
-def test_branches_within(exe):
+def test_branches_by_function(exe):
     profile, _ = profile_binary(exe, sampling=SamplingConfig(period=53))
-    within = profile.branches_within("main")
+    within = profile.branches_by_function().get("main")
     assert within
     for (from_off, to_off) in within:
         assert from_off >= 0 and to_off >= 0
