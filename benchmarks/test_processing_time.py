@@ -5,7 +5,8 @@ Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
 
 * **Kernel microbenchmarks** — the rewritten ordering kernels
   (reverse-adjacency HFSort, incremental HFSort+, cached-edge ext-TSP),
-  the fast CFG snapshot, and the cached line-table lookup, each against
+  the instruction-sharing pass snapshot, the per-opcode use/def table,
+  one-walk ICF keys, and the cached line-table lookup, each against
   its pre-PR reference implementation from
   ``repro.core._reference_kernels`` — on inputs where both produce
   identical outputs (the correctness side is pinned by
@@ -34,7 +35,10 @@ from repro.core._reference_kernels import (
     ext_tsp_reference,
     hfsort_plus_reference,
     hfsort_reference,
+    insn_uses_defs_reference,
     linetable_lookup_reference,
+    normalize_self_reference,
+    restore_function_deepcopy,
     snapshot_function_deepcopy,
 )
 from repro.core.hfsort import CallGraph, hfsort, hfsort_plus
@@ -156,7 +160,10 @@ def test_kernel_microbenchmarks():
 def test_snapshot_microbenchmark():
     from repro.core import BinaryContext
     from repro.core.cfg_builder import build_all_functions
+    from repro.core.dataflow import insn_uses_defs
     from repro.core.discovery import discover_functions
+    from repro.core.passes.base import restore_function, snapshot_function
+    from repro.core.passes.icf import _function_key
     from repro.core.reports import dump_function
 
     exe = build_workload(scaled("compiler"), label="O2").exe
@@ -164,27 +171,48 @@ def test_snapshot_microbenchmark():
     discover_functions(context)
     build_all_functions(context)
     funcs = context.simple_functions()
+    insns = [insn for f in funcs for block in f.blocks.values()
+             for insn in block.insns]
 
     def fast():
-        return [f.clone() for f in funcs]
+        return [snapshot_function(f) for f in funcs]
 
     def slow():
         return [snapshot_function_deepcopy(f) for f in funcs]
 
     fast_snaps, t_new = _timed(fast, repeat=1)
     slow_snaps, t_ref = _timed(slow, repeat=1)
-    sample = funcs[: 20]
-    for f, a, b in zip(sample, fast_snaps, slow_snaps):
-        assert dump_function(a) == dump_function(b), f.name
+    sample = list(zip(funcs, fast_snaps, slow_snaps))[: 20]
+    for f, snap, ref in sample:
+        f.blocks.clear()
+        restore_function(f, snap)
+        assert dump_function(f) == dump_function(ref), f.name
     speedup = t_ref / max(t_new, 1e-9)
-    print_table("Per-function snapshot (one pipeline pass worth)",
-                ("method", "seconds"),
-                [("copy.deepcopy (pre-PR)", f"{t_ref:.4f}s"),
-                 ("BinaryFunction.clone", f"{t_new:.4f}s"),
-                 ("speedup", f"{speedup:.1f}x")])
+
+    uses_defs, t_ud = _timed(lambda: [insn_uses_defs(i) for i in insns])
+    uses_defs_ref, t_ud_ref = _timed(
+        lambda: [insn_uses_defs_reference(i) for i in insns])
+    assert uses_defs == uses_defs_ref
+    keys, t_key = _timed(lambda: [_function_key(f, f.name) for f in funcs])
+    keys_ref, t_key_ref = _timed(
+        lambda: [normalize_self_reference(f) for f in funcs])
+    assert keys == keys_ref
+
+    rows = [("snapshot_function", t_ref, t_new),
+            ("insn_uses_defs", t_ud_ref, t_ud),
+            ("icf_function_key", t_key_ref, t_key)]
+    print_table("Per-function snapshot and per-instruction facts "
+                "(one pipeline pass worth)",
+                ("kernel", "reference", "fast", "speedup"),
+                [(n, f"{r:.4f}s", f"{f:.4f}s", f"{r / max(f, 1e-9):.1f}x")
+                 for (n, r, f) in rows])
     _record("snapshot", {"reference_s": t_ref, "fast_s": t_new,
                          "functions": len(funcs),
                          "speedup": round(speedup, 2)})
+    _record("facts", {
+        name: {"reference_s": r, "fast_s": f,
+               "speedup": round(r / max(f, 1e-9), 2)}
+        for name, r, f in rows[1:]})
     assert speedup > 1.0
 
 
@@ -281,6 +309,7 @@ def test_end_to_end_processing_time(monkeypatch):
     from repro.core._reference_kernels import order_blocks_reference
 
     monkeypatch.setattr(base, "snapshot_function", snapshot_function_deepcopy)
+    monkeypatch.setattr(base, "restore_function", restore_function_deepcopy)
     monkeypatch.setattr(reorder_functions, "hfsort", hfsort_reference)
     monkeypatch.setattr(reorder_functions, "hfsort_plus",
                         hfsort_plus_reference)

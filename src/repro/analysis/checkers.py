@@ -26,7 +26,7 @@ from repro.analysis.absint import (
     solve,
 )
 from repro.analysis.rules import Finding
-from repro.core.dataflow import FLAGS, insn_uses_defs
+from repro.core.dataflow import FLAGS, defines
 from repro.core.emitter import COLD_SUFFIX
 from repro.core.validate import ValidationError, validate_function
 from repro.isa import Op, RBP, RSP
@@ -279,10 +279,9 @@ def _stack_step(insn, state, sink=None, func=None, block=None):
     if insn.is_call:
         return h, rbp_h                         # balanced by convention
 
-    _, defs = insn_uses_defs(insn)
-    if RSP in defs:
+    if defines(insn, RSP):
         h = TOP
-    if RBP in defs:
+    if defines(insn, RBP):
         rbp_h = TOP
     return h, rbp_h
 
@@ -341,8 +340,7 @@ def _saved_reg_step(insn, state, reg, offset):
     if op in (Op.STORE, Op.STOREIDX, Op.STORE_ABS) \
             and not (op == Op.STORE and insn.regs[0] == RBP):
         return r, TOP                       # untracked memory write
-    _, defs = insn_uses_defs(insn)
-    if reg in defs:
+    if defines(insn, reg):
         return _DIRTY, s
     return r, s
 
@@ -423,8 +421,7 @@ def _flags_step(insn, state):
         return _DEF
     if insn.is_call:
         return _UNDEF  # calls clobber flags (ABI)
-    _, defs = insn_uses_defs(insn)
-    if FLAGS in defs:
+    if defines(insn, FLAGS):
         return _DEF
     return state
 

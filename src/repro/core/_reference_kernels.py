@@ -11,8 +11,9 @@ table lookup.
 They are kept for two reasons:
 
 * **Equivalence oracle** — the rewritten fast kernels must produce
-  *identical* orders; ``tests/test_hfsort.py`` checks them against
-  these on randomized graphs (hypothesis).
+  *identical* results; ``tests/test_hfsort.py`` checks the orders on
+  randomized graphs (hypothesis), ``tests/test_value_semantics.py`` the
+  per-opcode tables, snapshots and ICF keys.
 * **Benchmark baseline** — ``benchmarks/test_processing_time.py``
   measures the fast kernels (and the end-to-end pipeline) against
   these to produce the ``BENCH_pr3.json`` trajectory, reproducing the
@@ -23,7 +24,11 @@ Nothing in the pipeline itself may import this module.
 
 import copy
 
+from repro.core.dataflow import FLAGS, UnmodeledOpcodeError
 from repro.core.hfsort import _Cluster
+from repro.isa import RAX, RSP
+from repro.isa.opcodes import Op, OPERAND_FORMATS, _ATOM_SIZES
+from repro.isa.registers import ARG_REGS, CALLER_SAVED
 
 # ext-TSP distance weights (must mirror layout_algos).
 _FALLTHROUGH_WEIGHT = 1.0
@@ -248,6 +253,12 @@ def snapshot_function_deepcopy(func):
     return copy.deepcopy(func)
 
 
+def restore_function_deepcopy(func, snapshot):
+    """Restore from :func:`snapshot_function_deepcopy`, in place."""
+    func.__dict__.update(copy.deepcopy(snapshot).__dict__)
+    return func
+
+
 def linetable_lookup_reference(table, addr):
     """Rebuilds the bisect key list on every query."""
     import bisect
@@ -261,3 +272,155 @@ def linetable_lookup_reference(table, addr):
         return None
     entry = table.entries[idx]
     return (entry.file, entry.line)
+
+
+# ---------------------------------------------------------------------------
+# Per-instruction facts (re-derived on every query)
+# ---------------------------------------------------------------------------
+
+
+def format_size_reference(op):
+    """Sums the operand-format atoms on every call."""
+    base = 1
+    if op == Op.JCC_LONG:
+        base = 2  # 0x0F prefix + opcode byte
+    return base + sum(_ATOM_SIZES[atom] for atom in OPERAND_FORMATS[op])
+
+
+#: Opcodes with no register effects at the dataflow level.  Direct
+#: jumps and ``jmp`` through an absolute memory slot transfer control
+#: without reading or writing general registers; nops/halt/trap do
+#: nothing.  (``PREFIX_0F`` is an encoding artifact, never an opcode a
+#: decoded instruction carries — it is deliberately *not* modeled.)
+_NO_REG_EFFECT = frozenset({
+    Op.NOP, Op.NOPN, Op.HALT, Op.TRAP,
+    Op.JMP_SHORT, Op.JMP_NEAR, Op.JMP_MEM,
+})
+
+
+def insn_uses_defs_reference(insn):
+    """The if-chain ``insn_uses_defs`` that builds fresh sets per query.
+
+    Covers every :class:`Op`; raises :class:`UnmodeledOpcodeError` for
+    anything else rather than silently under-approximating.
+    """
+    op = insn.op
+    r = insn.regs
+    if op == Op.MOV_RR:
+        return {r[1]}, {r[0]}
+    if op in (Op.MOV_RI32, Op.MOV_RI64):
+        return set(), {r[0]}
+    if op in (Op.LOAD, Op.LEA):
+        return {r[1]}, {r[0]}
+    if op == Op.STORE:
+        return {r[0], r[1]}, set()
+    if op == Op.LOAD_ABS:
+        return set(), {r[0]}
+    if op == Op.STORE_ABS:
+        return {r[0]}, set()
+    if op == Op.LOADIDX:
+        return {r[1], r[2]}, {r[0]}
+    if op == Op.STOREIDX:
+        return {r[0], r[1], r[2]}, set()
+    if op in (Op.ADD_RR, Op.SUB_RR, Op.IMUL_RR, Op.AND_RR, Op.OR_RR,
+              Op.XOR_RR, Op.IDIV_RR, Op.IMOD_RR, Op.SHL_RR, Op.SHR_RR,
+              Op.SAR_RR):
+        return {r[0], r[1]}, {r[0]}
+    if op in (Op.ADD_RI, Op.SUB_RI, Op.IMUL_RI, Op.AND_RI, Op.OR_RI,
+              Op.XOR_RI, Op.SHL_RI, Op.SHR_RI, Op.SAR_RI, Op.NEG):
+        return {r[0]}, {r[0]}
+    if op in (Op.CMP_RR, Op.TEST_RR):
+        return {r[0], r[1]}, {FLAGS}
+    if op in (Op.CMP_RI, Op.TEST_RI):
+        return {r[0]}, {FLAGS}
+    if op == Op.SETCC:
+        return {FLAGS}, {r[0]}
+    if op == Op.PUSH:
+        return {r[0], RSP}, {RSP}
+    if op == Op.POP:
+        return {RSP}, {r[0], RSP}
+    if op == Op.OUT:
+        return {r[0]}, set()
+    if op in (Op.CALL, Op.CALL_MEM):
+        # Conservative: a call may read every argument register and
+        # clobbers all caller-saved registers; it returns in rax.
+        return set(ARG_REGS) | {RSP}, set(CALLER_SAVED) | {RSP, FLAGS}
+    if op == Op.CALL_REG:
+        return set(ARG_REGS) | {RSP, r[0]}, set(CALLER_SAVED) | {RSP, FLAGS}
+    if op in (Op.JCC_SHORT, Op.JCC_LONG):
+        return {FLAGS}, set()
+    if op in (Op.JMP_REG,):
+        return {r[0]}, set()
+    if op in (Op.RET, Op.REPZ_RET):
+        return {RAX, RSP}, {RSP}
+    if op in _NO_REG_EFFECT:
+        return set(), set()
+    raise UnmodeledOpcodeError(op)
+
+
+# ---------------------------------------------------------------------------
+# ICF keys (build the key, then re-walk it to rename self)
+# ---------------------------------------------------------------------------
+
+
+def function_key_reference(func):
+    """A structural key: code with labels/tables normalized to indices."""
+    index = {label: i for i, label in enumerate(func.blocks)}
+    table_ids = {id(t): i for i, t in enumerate(func.jump_tables)}
+    # Table *addresses* appear as MOV_RI32 immediates (the dispatch base
+    # materialization); normalize them so two copies of a switch-heavy
+    # function compare equal even though their tables live at different
+    # addresses — the folding linkers cannot do (paper section 4).
+    table_addrs = {t.address: i for i, t in enumerate(func.jump_tables)}
+    blocks = []
+    for label, block in func.blocks.items():
+        insn_keys = []
+        for insn in block.insns:
+            table = insn.get_annotation("jump-table")
+            imm = insn.imm
+            if imm in table_addrs:
+                imm = ("jt", table_addrs[imm])
+            insn_keys.append((
+                int(insn.op),
+                insn.regs,
+                imm if table is None else None,
+                insn.disp,
+                insn.addr,
+                int(insn.cc) if insn.cc is not None else None,
+                index.get(insn.label, insn.label),
+                (insn.sym.name, insn.sym.kind, insn.sym.addend)
+                if insn.sym is not None else None,
+                table_ids.get(id(table)),
+            ))
+        blocks.append((
+            index[label],
+            tuple(insn_keys),
+            tuple(index.get(s, s) for s in block.successors),
+            index.get(block.fallthrough_label),
+            tuple(index.get(lp, lp) for lp in block.landing_pads),
+            block.is_landing_pad,
+        ))
+    tables = tuple(
+        tuple(index.get(e, e) for e in t.entries) for t in func.jump_tables)
+    record = func.frame_record
+    frame = None
+    if record is not None:
+        frame = (record.frame_size, tuple(map(tuple, record.saved_regs)),
+                 tuple((c.start, c.end, c.landing_pad, c.action)
+                       for c in record.callsites))
+    return (tuple(blocks), tables, frame)
+
+
+def normalize_self_reference(func):
+    """The ICF key with every occurrence of the function's own name
+    replaced by a marker, found by recursively re-walking the key."""
+    key = function_key_reference(func)
+
+    def swap(item):
+        if isinstance(item, tuple):
+            return tuple(swap(x) for x in item)
+        if item == func.name:
+            return "__self__"
+        return item
+
+    return swap(key)

@@ -2,8 +2,6 @@
 linked binary (the BinaryFunction/BinaryBasicBlock of real BOLT).
 """
 
-import copy
-
 
 class JumpTable:
     """A recovered jump table: its data symbol/address and the labels of
@@ -14,15 +12,6 @@ class JumpTable:
         self.size = size                # bytes
         self.entries = entries          # list of block labels
         self.section = section          # section name holding the table
-
-    def clone(self):
-        out = JumpTable(self.address, self.size, list(self.entries),
-                        self.section)
-        # Dynamic extras (e.g. ``moved_to`` stamped by the rewriter).
-        for key, value in self.__dict__.items():
-            if key != "entries":
-                setattr(out, key, value)
-        return out
 
     def __repr__(self):
         return f"<JumpTable @{self.address:#x} entries={len(self.entries)}>"
@@ -81,34 +70,6 @@ class BinaryBasicBlock:
         self.edge_mispreds.pop(label, None)
         if self.fallthrough_label == label:
             self.fallthrough_label = None
-
-    def clone(self, table_memo=None):
-        """Deep copy of the block's mutable state.
-
-        ``table_memo`` maps ``id(JumpTable) -> clone`` so jump-table
-        annotations keep pointing at the owning function's (cloned)
-        tables, mirroring what ``copy.deepcopy`` memoization did.
-        """
-        out = BinaryBasicBlock(self.label, self.offset)
-        insns = out.insns
-        for insn in self.insns:
-            clone = insn.copy()
-            ann = clone.annotations
-            if ann and table_memo:
-                table = ann.get("jump-table")
-                if table is not None and id(table) in table_memo:
-                    ann["jump-table"] = table_memo[id(table)]
-            insns.append(clone)
-        out.successors = list(self.successors)
-        out.edge_counts = dict(self.edge_counts)
-        out.edge_mispreds = dict(self.edge_mispreds)
-        out.fallthrough_label = self.fallthrough_label
-        out.exec_count = self.exec_count
-        out.is_landing_pad = self.is_landing_pad
-        out.landing_pads = list(self.landing_pads)
-        out.is_cold = self.is_cold
-        out.alignment = self.alignment
-        return out
 
     def __repr__(self):
         return (f"<BB {self.label} @+{self.offset:#x} insns={len(self.insns)} "
@@ -178,38 +139,6 @@ class BinaryFunction:
     def mark_non_simple(self, reason):
         self.is_simple = False
         self.simple_violation = reason
-
-    def clone(self):
-        """Deep copy of the mutable CFG state — the pass-containment
-        snapshot (much faster than generic ``copy.deepcopy``).
-
-        Blocks, instructions, jump tables, the frame record, and the
-        analysis facts are copied; immutable payloads (``raw_bytes``,
-        ``SymRef`` operands) and cross-function references (``parent``,
-        ``folded_into``) are shared.
-        """
-        out = BinaryFunction(self.name, self.address, self.size, self.section)
-        out.is_simple = self.is_simple
-        out.simple_violation = self.simple_violation
-        table_memo = {id(t): t.clone() for t in self.jump_tables}
-        out.jump_tables = [table_memo[id(t)] for t in self.jump_tables]
-        out.blocks = {label: block.clone(table_memo)
-                      for label, block in self.blocks.items()}
-        out.entry_label = self.entry_label
-        out.raw_bytes = self.raw_bytes
-        out.frame_record = (self.frame_record.copy()
-                            if self.frame_record is not None else None)
-        out.exec_count = self.exec_count
-        out.profile_match = self.profile_match
-        out.has_profile = self.has_profile
-        out.is_folded = self.is_folded
-        out.folded_into = self.folded_into
-        out.is_cold_fragment = self.is_cold_fragment
-        out.parent = self.parent
-        # Facts are small per-pass structures mutated in place by their
-        # emitting passes; generic deepcopy is still right for them.
-        out.analysis_facts = copy.deepcopy(self.analysis_facts)
-        return out
 
     def total_size(self):
         """Current code size across all blocks (post-transform)."""

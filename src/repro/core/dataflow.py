@@ -29,80 +29,92 @@ class UnmodeledOpcodeError(Exception):
     def __init__(self, op):
         name = getattr(op, "name", None) or repr(op)
         super().__init__(
-            f"no use/def model for opcode {name}; add it to "
-            f"insn_uses_defs before running dataflow analyses over it")
+            f"no use/def model for opcode {name}; add it to the "
+            f"insn_uses_defs table before running dataflow analyses over it")
         self.op = op
 
 
-#: Opcodes with no register effects at the dataflow level.  Direct
-#: jumps and ``jmp`` through an absolute memory slot transfer control
-#: without reading or writing general registers; nops/halt/trap do
-#: nothing.  (``PREFIX_0F`` is an encoding artifact, never an opcode a
-#: decoded instruction carries — it is deliberately *not* modeled.)
-_NO_REG_EFFECT = frozenset({
-    Op.NOP, Op.NOPN, Op.HALT, Op.TRAP,
-    Op.JMP_SHORT, Op.JMP_NEAR, Op.JMP_MEM,
-})
+#: op -> (use operand positions, def operand positions, fixed uses,
+#: fixed defs).  Built once at import; ``insn_uses_defs`` and
+#: ``defines`` only index it.
+_USE_DEF = {}
+
+
+def _model(ops, uses=(), defs=(), fixed_uses=(), fixed_defs=()):
+    for op in ops:
+        _USE_DEF[op] = (tuple(uses), tuple(defs),
+                        frozenset(fixed_uses), frozenset(fixed_defs))
+
+
+_CALL_USES = (*ARG_REGS, RSP)
+_CALL_DEFS = (*CALLER_SAVED, RSP, FLAGS)
+
+_model([Op.MOV_RR], uses=[1], defs=[0])
+_model([Op.MOV_RI32, Op.MOV_RI64, Op.LOAD_ABS], defs=[0])
+_model([Op.LOAD, Op.LEA], uses=[1], defs=[0])
+_model([Op.STORE], uses=[0, 1])
+_model([Op.STORE_ABS, Op.OUT, Op.JMP_REG], uses=[0])
+_model([Op.LOADIDX], uses=[1, 2], defs=[0])
+_model([Op.STOREIDX], uses=[0, 1, 2])
+_model([Op.ADD_RR, Op.SUB_RR, Op.IMUL_RR, Op.AND_RR, Op.OR_RR, Op.XOR_RR,
+        Op.IDIV_RR, Op.IMOD_RR, Op.SHL_RR, Op.SHR_RR, Op.SAR_RR],
+       uses=[0, 1], defs=[0])
+_model([Op.ADD_RI, Op.SUB_RI, Op.IMUL_RI, Op.AND_RI, Op.OR_RI, Op.XOR_RI,
+        Op.SHL_RI, Op.SHR_RI, Op.SAR_RI, Op.NEG],
+       uses=[0], defs=[0])
+_model([Op.CMP_RR, Op.TEST_RR], uses=[0, 1], fixed_defs=[FLAGS])
+_model([Op.CMP_RI, Op.TEST_RI], uses=[0], fixed_defs=[FLAGS])
+_model([Op.SETCC], defs=[0], fixed_uses=[FLAGS])
+_model([Op.PUSH], uses=[0], fixed_uses=[RSP], fixed_defs=[RSP])
+_model([Op.POP], defs=[0], fixed_uses=[RSP], fixed_defs=[RSP])
+# Conservative: a call may read every argument register and clobbers
+# all caller-saved registers; it returns in rax.
+_model([Op.CALL, Op.CALL_MEM], fixed_uses=_CALL_USES, fixed_defs=_CALL_DEFS)
+_model([Op.CALL_REG], uses=[0], fixed_uses=_CALL_USES,
+       fixed_defs=_CALL_DEFS)
+_model([Op.JCC_SHORT, Op.JCC_LONG], fixed_uses=[FLAGS])
+_model([Op.RET, Op.REPZ_RET], fixed_uses=[RAX, RSP], fixed_defs=[RSP])
+# No register effects at the dataflow level: direct jumps and ``jmp``
+# through an absolute memory slot transfer control without reading or
+# writing general registers; nops/halt/trap do nothing.  (``PREFIX_0F``
+# is an encoding artifact, never an opcode a decoded instruction
+# carries -- it is deliberately *not* modeled.)
+_model([Op.NOP, Op.NOPN, Op.HALT, Op.TRAP,
+        Op.JMP_SHORT, Op.JMP_NEAR, Op.JMP_MEM])
 
 
 def insn_uses_defs(insn):
     """(uses, defs) register sets for one instruction.
 
     Covers every :class:`Op`; raises :class:`UnmodeledOpcodeError` for
-    anything else rather than silently under-approximating.
+    anything else rather than silently under-approximating.  The sets
+    are read-only: ops without register operands return shared
+    frozensets.
     """
-    op = insn.op
-    r = insn.regs
-    if op == Op.MOV_RR:
-        return {r[1]}, {r[0]}
-    if op in (Op.MOV_RI32, Op.MOV_RI64):
-        return set(), {r[0]}
-    if op in (Op.LOAD, Op.LEA):
-        return {r[1]}, {r[0]}
-    if op == Op.STORE:
-        return {r[0], r[1]}, set()
-    if op == Op.LOAD_ABS:
-        return set(), {r[0]}
-    if op == Op.STORE_ABS:
-        return {r[0]}, set()
-    if op == Op.LOADIDX:
-        return {r[1], r[2]}, {r[0]}
-    if op == Op.STOREIDX:
-        return {r[0], r[1], r[2]}, set()
-    if op in (Op.ADD_RR, Op.SUB_RR, Op.IMUL_RR, Op.AND_RR, Op.OR_RR,
-              Op.XOR_RR, Op.IDIV_RR, Op.IMOD_RR, Op.SHL_RR, Op.SHR_RR,
-              Op.SAR_RR):
-        return {r[0], r[1]}, {r[0]}
-    if op in (Op.ADD_RI, Op.SUB_RI, Op.IMUL_RI, Op.AND_RI, Op.OR_RI,
-              Op.XOR_RI, Op.SHL_RI, Op.SHR_RI, Op.SAR_RI, Op.NEG):
-        return {r[0]}, {r[0]}
-    if op in (Op.CMP_RR, Op.TEST_RR):
-        return {r[0], r[1]}, {FLAGS}
-    if op in (Op.CMP_RI, Op.TEST_RI):
-        return {r[0]}, {FLAGS}
-    if op == Op.SETCC:
-        return {FLAGS}, {r[0]}
-    if op == Op.PUSH:
-        return {r[0], RSP}, {RSP}
-    if op == Op.POP:
-        return {RSP}, {r[0], RSP}
-    if op == Op.OUT:
-        return {r[0]}, set()
-    if op in (Op.CALL, Op.CALL_MEM):
-        # Conservative: a call may read every argument register and
-        # clobbers all caller-saved registers; it returns in rax.
-        return set(ARG_REGS) | {RSP}, set(CALLER_SAVED) | {RSP, FLAGS}
-    if op == Op.CALL_REG:
-        return set(ARG_REGS) | {RSP, r[0]}, set(CALLER_SAVED) | {RSP, FLAGS}
-    if op in (Op.JCC_SHORT, Op.JCC_LONG):
-        return {FLAGS}, set()
-    if op in (Op.JMP_REG,):
-        return {r[0]}, set()
-    if op in (Op.RET, Op.REPZ_RET):
-        return {RAX, RSP}, {RSP}
-    if op in _NO_REG_EFFECT:
-        return set(), set()
-    raise UnmodeledOpcodeError(op)
+    entry = _USE_DEF.get(insn.op)
+    if entry is None:
+        raise UnmodeledOpcodeError(insn.op)
+    use_pos, def_pos, uses, defs = entry
+    regs = insn.regs
+    if use_pos:
+        uses = uses.union([regs[i] for i in use_pos])
+    if def_pos:
+        defs = defs.union([regs[i] for i in def_pos])
+    return uses, defs
+
+
+def defines(insn, reg):
+    """``reg in insn_uses_defs(insn)[1]``, without building the set."""
+    entry = _USE_DEF.get(insn.op)
+    if entry is None:
+        raise UnmodeledOpcodeError(insn.op)
+    if reg in entry[3]:
+        return True
+    regs = insn.regs
+    for i in entry[1]:
+        if regs[i] == reg:
+            return True
+    return False
 
 
 def block_uses_defs(block):

@@ -9,11 +9,15 @@ BOLT conservatively skips at CFG-construction time — and a structured
 diagnostic is recorded.  Whole-context passes (ICF, inlining, function
 reordering) are contained at pass granularity instead.
 
-Snapshots are taken with :meth:`BinaryFunction.clone` — a hand-rolled
-deep copy of exactly the mutable CFG state — rather than generic
-``copy.deepcopy``, which dominated rewrite wall time (the pre-PR
-snapshot is preserved in :mod:`repro.core._reference_kernels` for the
-processing-time benchmarks).
+Instructions are values to a pass: it replaces them
+(``block.insns[i] = insn.replace(...)``, ``insn.with_annotation(...)``)
+and never mutates one in place.  A snapshot therefore shares the
+instruction objects and saves only what a pass may change in place:
+the block dict, each block's instruction list, edge dicts and scalars,
+the jump tables' state, the frame record and the analysis facts.  The
+pre-value-semantics ``copy.deepcopy`` snapshot is kept in
+:mod:`repro.core._reference_kernels` for the processing-time
+benchmarks.
 
 A pass that corrupts a CFG *without* raising is caught after the
 pipeline instead: the rewriter's default-on lint gate
@@ -23,17 +27,79 @@ every still-simple function and demotes violators through the same
 ``demote_to_raw``.
 """
 
+import copy
 import time
 
 
+class _Fields:
+    """The attributes of one kind of CFG object that a pass may change.
+
+    ``copied`` are containers, saved and restored as shallow copies
+    (the instructions inside are shared); ``kept`` are values, saved by
+    reference.  A saved state is one flat tuple rather than a copy of
+    the object's ``__dict__``: per-block dict copies went to the system
+    allocator and left ``collect``'s resident set about 5 MB higher
+    after set-up's BOLT jobs.
+    """
+
+    def __init__(self, copied, kept):
+        self.copied = copied
+        self.kept = kept
+
+    def save(self, obj):
+        return (obj, *[getattr(obj, name).copy() for name in self.copied],
+                *[getattr(obj, name) for name in self.kept])
+
+    def restore(self, state):
+        obj = state[0]
+        ncopied = len(self.copied)
+        for name, value in zip(self.copied, state[1:]):
+            setattr(obj, name, value.copy())
+        for name, value in zip(self.kept, state[1 + ncopied:]):
+            setattr(obj, name, value)
+
+
+_FUNCTION = _Fields(
+    ("blocks", "jump_tables"),
+    ("name", "address", "size", "section", "is_simple", "simple_violation",
+     "entry_label", "raw_bytes", "exec_count", "profile_match",
+     "has_profile", "is_folded", "folded_into", "is_cold_fragment",
+     "parent"))
+_BLOCK = _Fields(
+    ("insns", "successors", "edge_counts", "edge_mispreds", "landing_pads"),
+    ("label", "offset", "fallthrough_label", "exec_count", "is_landing_pad",
+     "is_cold", "alignment"))
+_TABLE = _Fields(("entries",), ("address", "size", "section"))
+
+
 def snapshot_function(func):
-    """A restorable deep snapshot of a function's mutable CFG state."""
-    return func.clone()
+    """A restorable snapshot of a function's mutable CFG state.
+
+    Shares the (never mutated) instructions; see the module docstring.
+    """
+    record = func.frame_record
+    return (_FUNCTION.save(func),
+            [_BLOCK.save(block) for block in func.blocks.values()],
+            [_TABLE.save(table) for table in func.jump_tables],
+            record.copy() if record is not None else None,
+            copy.deepcopy(func.analysis_facts) if func.analysis_facts else {})
 
 
 def restore_function(func, snapshot):
-    """Restore a function to a previously-taken snapshot, in place."""
-    func.__dict__.update(snapshot.clone().__dict__)
+    """Restore a function to a previously-taken snapshot, in place.
+
+    Block and jump-table objects are restored in place too, so the
+    ``"jump-table"`` annotations of the shared instructions stay valid.
+    The snapshot itself is left intact.
+    """
+    state, blocks, tables, record, facts = snapshot
+    _FUNCTION.restore(state)
+    for block_state in blocks:
+        _BLOCK.restore(block_state)
+    for table_state in tables:
+        _TABLE.restore(table_state)
+    func.frame_record = record.copy() if record is not None else None
+    func.analysis_facts = copy.deepcopy(facts)
     return func
 
 

@@ -52,9 +52,9 @@ class FixupBranches(BinaryPass):
                 ft = block.fallthrough_label
                 if (last.label == next_label and ft is not None
                         and ft != next_label):
-                    last.cc = negate_cc(last.cc)
+                    block.insns[-1] = last.replace(cc=negate_cc(last.cc),
+                                                   label=ft)
                     block.fallthrough_label = last.label
-                    last.label = ft
                     inverted += 1
                     ft = block.fallthrough_label
                 if ft is not None and ft != next_label:

@@ -112,11 +112,7 @@ class IndirectCallPromotion(BinaryPass):
             current = fallback
 
         # The final fallback keeps the original indirect call.
-        indirect = insn
-        if remaining:
-            indirect.set_annotation("call-targets", remaining)
-        else:
-            indirect.set_annotation("call-targets", None)
+        indirect = insn.with_annotation("call-targets", remaining or None)
         current.insns.append(indirect)
         current.fallthrough_label = join.label
         current.set_edge(join.label, current.exec_count)

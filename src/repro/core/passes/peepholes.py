@@ -65,13 +65,14 @@ class Peepholes(BinaryPass):
 
         threaded = 0
         for block in func.blocks.values():
-            for insn in block.insns:
+            insns = block.insns
+            for i, insn in enumerate(insns):
                 if insn.is_branch and insn.label in forward:
                     old = insn.label
                     new = final(old)
                     if new == old:
                         continue
-                    insn.label = new
+                    insns[i] = insn.replace(label=new)
                     count = block.edge_counts.pop(old, 0)
                     mispred = block.edge_mispreds.pop(old, 0)
                     if old in block.successors:

@@ -22,7 +22,8 @@ class PLTCalls(BinaryPass):
     def run_on_function(self, context, func):
         optimized = skipped = 0
         for block in func.blocks.values():
-            for insn in block.insns:
+            insns = block.insns
+            for i, insn in enumerate(insns):
                 plt = insn.get_annotation("plt")
                 if plt is None:
                     continue
@@ -34,8 +35,9 @@ class PLTCalls(BinaryPass):
                 if entry is None:
                     skipped += 1
                     continue
-                insn.sym = SymRef(entry.link_name(), "branch")
-                insn.set_annotation("plt", None)
-                insn.set_annotation("plt-optimized", True)
+                direct = insn.replace(sym=SymRef(entry.link_name(), "branch"))
+                direct.set_annotation("plt", None)
+                direct.set_annotation("plt-optimized", True)
+                insns[i] = direct
                 optimized += 1
         return {"optimized": optimized, "skipped": skipped}

@@ -11,7 +11,7 @@ The intermediate block usually becomes unreachable and is removed by a
 follow-up UCE/fixup round.
 """
 
-from repro.isa import Op
+from repro.isa import Op, negate_cc
 from repro.core.passes.base import BinaryPass
 
 
@@ -36,48 +36,43 @@ class SimplifyConditionalTailCalls(BinaryPass):
         preds = func.predecessors()
         simplified = 0
         for block in func.blocks.values():
-            for insn in block.insns:
+            insns = block.insns
+            for i, insn in enumerate(insns):
                 if not insn.is_cond_branch:
                     continue
                 if insn.label in tail_blocks:
                     # jcc L; ... L: jmp target  =>  jcc target
                     target_jmp = tail_blocks[insn.label]
-                    old_label = insn.label
-                    insn.label = None
-                    self._copy_tail_target(insn, target_jmp)
-                    block.remove_successor(old_label)
+                    insns[i] = self._tail_call(insn, target_jmp)
+                    block.remove_successor(insn.label)
                     func.analysis_facts.setdefault("sctc", []).append(
                         block.label)
                     simplified += 1
-                elif (insn is block.insns[-1]
+                elif (i == len(insns) - 1
                       and block.fallthrough_label in tail_blocks
                       and len(preds[block.fallthrough_label]) == 1):
                     # jcc L with the tail call on the fall-through path:
                     # invert so the tail call is the taken side.
-                    from repro.isa import negate_cc
-
                     ft = block.fallthrough_label
-                    target_jmp = tail_blocks[ft]
-                    old_label = insn.label
-                    insn.cc = negate_cc(insn.cc)
-                    insn.label = None
-                    self._copy_tail_target(insn, target_jmp)
+                    insns[i] = self._tail_call(insn, tail_blocks[ft],
+                                               cc=negate_cc(insn.cc))
                     block.remove_successor(ft)
-                    block.fallthrough_label = old_label
+                    block.fallthrough_label = insn.label
                     func.analysis_facts.setdefault("sctc", []).append(
                         block.label)
                     simplified += 1
         return {"simplified": simplified}
 
     @staticmethod
-    def _copy_tail_target(insn, target_jmp):
-        insn.sym = target_jmp.sym
+    def _tail_call(insn, target_jmp, **fields):
+        """``insn`` retargeted at ``target_jmp``'s symbol (a new insn)."""
         if insn.op == Op.JCC_SHORT:
             # A symbolic target needs the rel32 encoding.
-            insn.op = Op.JCC_LONG
-            insn.size = 6
+            fields["op"] = Op.JCC_LONG
+        call = insn.replace(label=None, sym=target_jmp.sym, **fields)
         if target_jmp.get_annotation("tailcall", "!") != "!":
-            insn.set_annotation("tailcall",
+            call.set_annotation("tailcall",
                                 target_jmp.get_annotation("tailcall"))
         if target_jmp.get_annotation("plt") is not None:
-            insn.set_annotation("plt", target_jmp.get_annotation("plt"))
+            call.set_annotation("plt", target_jmp.get_annotation("plt"))
+        return call

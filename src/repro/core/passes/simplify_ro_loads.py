@@ -9,7 +9,6 @@ rejected.
 """
 
 from repro.isa import Op
-from repro.isa.opcodes import format_size
 from repro.core.passes.base import BinaryPass
 
 _I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
@@ -33,7 +32,8 @@ class SimplifyRoLoads(BinaryPass):
         converted = aborted = 0
         table_addrs = self._table_addrs
         for block in func.blocks.values():
-            for insn in block.insns:
+            insns = block.insns
+            for i, insn in enumerate(insns):
                 if insn.op != Op.LOAD_ABS or insn.sym is not None:
                     continue
                 section = context.section_at(insn.addr)
@@ -49,9 +49,6 @@ class SimplifyRoLoads(BinaryPass):
                 if not _I32_MIN <= value <= _I32_MAX:
                     aborted += 1  # would need a 10-byte MOV_RI64
                     continue
-                insn.op = Op.MOV_RI32
-                insn.imm = value
-                insn.addr = None
-                insn.size = format_size(Op.MOV_RI32)
+                insns[i] = insn.replace(op=Op.MOV_RI32, imm=value, addr=None)
                 converted += 1
         return {"converted": converted, "aborted": aborted}

@@ -16,9 +16,9 @@ class StripRepRet(BinaryPass):
     def run_on_function(self, context, func):
         stripped = 0
         for block in func.blocks.values():
-            for insn in block.insns:
+            insns = block.insns
+            for i, insn in enumerate(insns):
                 if insn.op == Op.REPZ_RET:
-                    insn.op = Op.RET
-                    insn.size = 1
+                    insns[i] = insn.replace(op=Op.RET)
                     stripped += 1
         return {"stripped": stripped}

@@ -53,6 +53,7 @@ def attach_profile(context, profile):
 
     entry_counts = _function_entry_counts(profile, remap)
     within = profile.branches_by_function()
+    calls = profile.calls_by_function() if profile.lbr else {}
     rates = {}
     totals = _MatchTotals()
     for func in context.functions.values():
@@ -61,10 +62,10 @@ def attach_profile(context, profile):
             continue
         source = source_of.get(func.name, func.name)
         if profile.lbr:
-            rates[func.name] = _attach_lbr(context, func, profile,
+            rates[func.name] = _attach_lbr(context, func,
                                            within.get(source, {}),
-                                           source=source, fuzzy=stale,
-                                           totals=totals)
+                                           calls.get(source, ()),
+                                           fuzzy=stale, totals=totals)
         else:
             rates[func.name] = _attach_nolbr(context, func, profile,
                                              source=source, totals=totals)
@@ -376,11 +377,11 @@ def _match_record(func, index, from_off, to_off):
     return from_block, to_block
 
 
-def _attach_lbr(context, func, profile, records, source=None,
-                fuzzy=False, totals=None):
-    """Annotate ``func`` from ``records``, the intra-function branch
-    records of its profile name ``source`` (one entry of
-    :meth:`BinaryProfile.branches_by_function`)."""
+def _attach_lbr(context, func, records, calls, fuzzy=False, totals=None):
+    """Annotate ``func`` from ``records`` and ``calls``, the
+    intra-function branch records and the calls out of its profile name
+    (its entries of :meth:`BinaryProfile.branches_by_function` and
+    :meth:`BinaryProfile.calls_by_function`)."""
     index = _OffsetIndex(func)
     matched = total = dropped = 0
 
@@ -426,18 +427,16 @@ def _attach_lbr(context, func, profile, records, source=None,
 
     # Indirect call targets (ICP fodder, section 5.3), with the LBR
     # mispredict bits so ICP can target BTB-hostile call sites.
-    for (f, t), (count, mispreds) in profile.branches.items():
-        if f[0] != (source or func.name) or t[0] == f[0] or t[1] != 0:
+    for from_off, callee, count, mispreds in calls:
+        if not 0 <= from_off < func.size:
             continue
-        if not 0 <= f[1] < func.size:
-            continue
-        block = index.containing(f[1])
+        block = index.containing(from_off)
         if block is None:
             continue
-        insn = _insn_at(block, func.address + f[1])
+        insn = _insn_at(block, func.address + from_off)
         if insn is not None and insn.is_call and insn.is_indirect:
             targets = insn.get_annotation("call-targets") or {}
-            targets[t[0]] = targets.get(t[0], 0) + count
+            targets[callee] = targets.get(callee, 0) + count
             insn.set_annotation("call-targets", targets)
             insn.set_annotation(
                 "call-mispreds",

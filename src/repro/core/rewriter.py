@@ -133,9 +133,18 @@ def optimize_binary(binary, profile=None, options=None):
     mode), then fall back to returning the original binary — instead of
     shipping a corrupt executable.  In ``options.strict`` mode the
     first failure raises instead.
+
+    ``profile`` is a :class:`~repro.profiling.BinaryProfile` or None;
+    anything else (such as ``profile_binary``'s ``(profile, cpu)``
+    tuple) raises :class:`TypeError` before any work.
     """
     from repro.analysis.binlint import gate_problems
+    from repro.profiling import BinaryProfile
 
+    if profile is not None and not isinstance(profile, BinaryProfile):
+        raise TypeError(
+            f"profile must be a BinaryProfile or None, not "
+            f"{type(profile).__name__}")
     options = options or BoltOptions()
 
     # The static tier certifies the rewrite against the *input*'s

@@ -142,7 +142,11 @@ def _sample(exe, inputs, sampling, max_instructions):
 
 def sample_profile(built_or_exe, inputs=None, sampling=None,
                    max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-    """Collect a BinaryProfile (the perf + perf2bolt step)."""
+    """Collect a profile (the perf + perf2bolt step).
+
+    Returns ``profile_binary``'s ``(BinaryProfile, cpu)`` pair: the
+    profile, and the sampled run's CPU with its true counters.
+    """
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
     if inputs is None and isinstance(built_or_exe, BuiltBinary):
         inputs = built_or_exe.workload.inputs

@@ -14,7 +14,7 @@ from repro.isa.opcodes import (
     CondCode,
     OPERAND_FORMATS,
     cc_name,
-    format_size,
+    FORMAT_SIZES,
     MEM_READ_OPS,
     MEM_WRITE_OPS,
 )
@@ -63,6 +63,8 @@ _CALLS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
 _RETURNS = frozenset({Op.RET, Op.REPZ_RET})
 _INDIRECT = frozenset({Op.CALL_REG, Op.CALL_MEM, Op.JMP_REG, Op.JMP_MEM})
 _NOPS = frozenset({Op.NOP, Op.NOPN})
+_NOPN = Op.NOPN
+_new = object.__new__
 
 
 class Instruction:
@@ -120,10 +122,7 @@ class Instruction:
         self.label = label
         self.sym = sym
         self.address = address
-        if op == Op.NOPN:
-            self.size = imm
-        else:
-            self.size = format_size(op)
+        self.size = imm if op == _NOPN else FORMAT_SIZES[op]
         self.annotations = None
 
     # -- annotations (MCInst-style, paper section 3.3) ------------------
@@ -196,21 +195,44 @@ class Instruction:
         return self.is_branch or self.is_call or self.is_return or self.is_terminator
 
     def copy(self):
-        """Deep-enough copy (annotations dict is copied, SymRef shared)."""
-        insn = Instruction(
-            self.op,
-            self.regs,
-            imm=self.imm,
-            disp=self.disp,
-            addr=self.addr,
-            cc=self.cc,
-            target=self.target,
-            label=self.label,
-            sym=self.sym,
-            address=self.address,
-        )
-        if self.annotations:
-            insn.annotations = dict(self.annotations)
+        """Deep-enough copy (annotations dict is copied, SymRef shared).
+
+        Copies the slots directly: no ``__init__``, no size lookup.
+        """
+        insn = _new(Instruction)
+        insn.op = self.op
+        insn.regs = self.regs
+        insn.imm = self.imm
+        insn.disp = self.disp
+        insn.addr = self.addr
+        insn.cc = self.cc
+        insn.target = self.target
+        insn.label = self.label
+        insn.sym = self.sym
+        insn.address = self.address
+        insn.size = self.size
+        ann = self.annotations
+        insn.annotations = dict(ann) if ann else None
+        return insn
+
+    def replace(self, **fields):
+        """A copy with ``fields`` changed; a new ``op`` brings its size.
+
+        Passes rewrite instructions through this (and
+        :meth:`with_annotation`) rather than mutating them, so a
+        pass-containment snapshot can share instruction objects.
+        """
+        insn = self.copy()
+        for name, value in fields.items():
+            setattr(insn, name, value)
+        if "op" in fields and "size" not in fields:
+            insn.size = insn.imm if insn.op == _NOPN else FORMAT_SIZES[insn.op]
+        return insn
+
+    def with_annotation(self, key, value):
+        """A copy with one annotation set (the original is untouched)."""
+        insn = self.copy()
+        insn.set_annotation(key, value)
         return insn
 
     # -- rendering --------------------------------------------------------

@@ -211,12 +211,18 @@ _ATOM_SIZES = {
 }
 
 
+def _atom_size(op):
+    base = 2 if op == Op.JCC_LONG else 1  # JCC_LONG: 0x0F prefix + opcode
+    return base + sum(_ATOM_SIZES[atom] for atom in OPERAND_FORMATS[op])
+
+
+#: Fixed encoded size per opcode, computed once from the formats.
+FORMAT_SIZES = {op: _atom_size(op) for op in OPERAND_FORMATS}
+
+
 def format_size(op):
     """Fixed byte size of an opcode's encoding (NOPN is variable)."""
-    base = 1
-    if op == Op.JCC_LONG:
-        base = 2  # 0x0F prefix + opcode byte
-    return base + sum(_ATOM_SIZES[atom] for atom in OPERAND_FORMATS[op])
+    return FORMAT_SIZES[op]
 
 
 #: Opcodes that read memory (for the D-cache model).

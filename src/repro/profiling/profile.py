@@ -65,6 +65,19 @@ class BinaryProfile:
                 records[(f[1], t[1])] = (count, mispred)
         return out
 
+    def calls_by_function(self):
+        """Transfers into another function's entry, grouped by source
+        function in one pass: ``{func: [(from_off, callee, count,
+        mispreds)]}``, each function's records in profile order."""
+        out = {}
+        for (f, t), (count, mispred) in self.branches.items():
+            if f[0] != t[0] and t[1] == 0:
+                records = out.get(f[0])
+                if records is None:
+                    records = out[f[0]] = []
+                records.append((f[1], t[0], count, mispred))
+        return out
+
     def calls_between(self):
         """Weighted inter-function transfers: {(caller, callee): count}.
 

@@ -82,6 +82,23 @@ def test_relocations_mode_preserves_semantics(baseline):
     assert opt.exit_code == cpu.exit_code
 
 
+def test_profile_tuple_is_refused_up_front(baseline, monkeypatch):
+    """``profile_binary``/``sample_profile`` return ``(profile, cpu)``;
+    handing that pair to BOLT is a caller bug, not a rewrite failure to
+    degrade through the whole ladder."""
+    import repro.analysis.binlint as binlint
+
+    exe, cpu, profile = baseline
+
+    def gate(*args):
+        raise AssertionError("the gate ran before the profile was checked")
+
+    monkeypatch.setattr(binlint, "gate_problems", gate)
+    for bad in [(profile, cpu), {"branches": {}}]:
+        with pytest.raises(TypeError, match="BinaryProfile"):
+            optimize_binary(exe, bad, BoltOptions())
+
+
 def test_relocations_mode_improves_or_holds(baseline):
     exe, cpu, profile = baseline
     result = optimize_binary(exe, profile, BoltOptions())

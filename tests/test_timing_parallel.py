@@ -1,6 +1,6 @@
 """The PR-3 performance layer: pass/phase timing, per-function pass
-failure containment, the fast CFG snapshot, and the diagnostics
-routing of formerly-silent failure paths."""
+failure containment, the instruction-sharing pass snapshot, and the
+diagnostics routing of formerly-silent failure paths."""
 
 import json
 
@@ -14,7 +14,12 @@ from repro.core._reference_kernels import (
 )
 from repro.core.cfg_builder import build_all_functions
 from repro.core.discovery import discover_functions
-from repro.core.passes.base import BinaryPass, PassManager
+from repro.core.passes.base import (
+    BinaryPass,
+    PassManager,
+    restore_function,
+    snapshot_function,
+)
 from repro.core.reports import dump_function, format_timing_table
 from repro.core.validate import validate_execution
 from repro.ir import InlinePolicy
@@ -148,49 +153,65 @@ def test_pass_failure_contained(baseline):
     assert "spin" in contained[0]
 
 
-# -- fast snapshot (BinaryFunction.clone) ------------------------------------
+# -- pass snapshot (snapshot_function / restore_function) ---------------------
 
 
-def test_clone_matches_deepcopy_snapshot(baseline):
+def test_snapshot_restore_matches_deepcopy_snapshot(baseline):
     exe, _, _ = baseline
     context = _context(exe)
     for func in context.simple_functions():
-        fast, slow = func.clone(), snapshot_function_deepcopy(func)
-        assert dump_function(fast) == dump_function(slow)
-        assert fast.analysis_facts == slow.analysis_facts
-        assert fast.raw_bytes == func.raw_bytes
+        snap, slow = snapshot_function(func), snapshot_function_deepcopy(func)
+        func.blocks.clear()
+        func.jump_tables.clear()
+        restore_function(func, snap)
+        assert dump_function(func) == dump_function(slow)
+        assert func.analysis_facts == slow.analysis_facts
+        assert func.raw_bytes == slow.raw_bytes
 
 
-def test_clone_isolates_mutations(baseline):
+def test_snapshot_isolates_mutations(baseline):
     exe, _, _ = baseline
     context = _context(exe)
     func = context.functions["work"]
-    snap = func.clone()
+    snap = snapshot_function(func)
     block = next(iter(func.blocks.values()))
-    before = len(block.insns)
+    before, count = len(block.insns), block.exec_count
     block.insns.append(block.insns[0].copy())
     block.exec_count += 99
     func.analysis_facts.setdefault("x", []).append(1)
-    snap_block = snap.blocks[block.label]
-    assert len(snap_block.insns) == before
-    assert snap_block.exec_count == block.exec_count - 99
-    assert "x" not in snap.analysis_facts
+    restore_function(func, snap)
+    assert func.blocks[block.label] is block
+    assert (len(block.insns), block.exec_count) == (before, count)
+    assert "x" not in func.analysis_facts
+    # The snapshot survives its own restore.
+    block.insns.pop()
+    block.exec_count += 99
+    restore_function(func, snap)
+    assert (len(block.insns), block.exec_count) == (before, count)
 
 
-def test_clone_preserves_jump_table_identity(baseline):
+def test_restore_preserves_jump_table_identity(baseline):
     exe, _, _ = baseline
     context = _context(exe)
     func = next(f for f in context.functions.values() if f.jump_tables)
-    snap = func.clone()
+    tables = list(func.jump_tables)
+    entries = [list(t.entries) for t in tables]
+    snap = snapshot_function(func)
+    for table in tables:
+        table.entries.reverse()
+    func.jump_tables = []
+    restore_function(func, snap)
     annotated = [insn.get_annotation("jump-table")
-                 for block in snap.blocks.values()
+                 for block in func.blocks.values()
                  for insn in block.insns
                  if insn.get_annotation("jump-table") is not None]
     assert annotated
+    # Tables are restored in place: the shared instructions' annotations
+    # still point at the function's own table objects.
+    assert all(a is b for a, b in zip(func.jump_tables, tables))
+    assert [t.entries for t in func.jump_tables] == entries
     for table in annotated:
-        # Annotations point at the *clone's* tables, not the original's.
-        assert any(table is t for t in snap.jump_tables)
-        assert not any(table is t for t in func.jump_tables)
+        assert any(table is t for t in func.jump_tables)
 
 
 # -- satellite fixes ---------------------------------------------------------
