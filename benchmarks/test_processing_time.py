@@ -6,7 +6,8 @@ Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
 * **Kernel microbenchmarks** — the rewritten ordering kernels
   (reverse-adjacency HFSort, incremental HFSort+, cached-edge ext-TSP),
   the instruction-sharing pass snapshot, the per-opcode use/def table,
-  one-walk ICF keys, and the cached line-table lookup, each against
+  one-walk ICF keys, the summary-walk BL001/BL002/BL003 lint checkers,
+  and the cached line-table lookup, each against
   its pre-PR reference implementation from
   ``repro.core._reference_kernels`` — on inputs where both produce
   identical outputs (the correctness side is pinned by
@@ -32,6 +33,9 @@ from repro.belf import write_binary
 from repro.belf.linetable import LineTable
 from repro.core import BoltOptions
 from repro.core._reference_kernels import (
+    check_callee_saved_reference,
+    check_flags_reference,
+    check_stack_height_reference,
     ext_tsp_reference,
     hfsort_plus_reference,
     hfsort_reference,
@@ -158,6 +162,7 @@ def test_kernel_microbenchmarks():
 
 
 def test_snapshot_microbenchmark():
+    from repro.analysis import checkers
     from repro.core import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.dataflow import insn_uses_defs
@@ -198,9 +203,29 @@ def test_snapshot_microbenchmark():
         lambda: [normalize_self_reference(f) for f in funcs])
     assert keys == keys_ref
 
+    def summary_checkers(func):
+        summary = checkers._summarize(func)
+        return (checkers._check_stack_height(func, summary)
+                + checkers._check_callee_saved(func, summary)
+                + checkers._check_flags(func, summary))
+
+    def reference_checkers(func):
+        return (check_stack_height_reference(func)
+                + check_callee_saved_reference(func)
+                + check_flags_reference(func))
+
+    def rendered(per_func):
+        return [[f.render() for f in found] for found in per_func]
+
+    found, t_chk = _timed(lambda: [summary_checkers(f) for f in funcs])
+    found_ref, t_chk_ref = _timed(
+        lambda: [reference_checkers(f) for f in funcs])
+    assert rendered(found) == rendered(found_ref)
+
     rows = [("snapshot_function", t_ref, t_new),
             ("insn_uses_defs", t_ud_ref, t_ud),
-            ("icf_function_key", t_key_ref, t_key)]
+            ("icf_function_key", t_key_ref, t_key),
+            ("dataflow_checkers", t_chk_ref, t_chk)]
     print_table("Per-function snapshot and per-instruction facts "
                 "(one pipeline pass worth)",
                 ("kernel", "reference", "fast", "speedup"),
@@ -214,6 +239,7 @@ def test_snapshot_microbenchmark():
                "speedup": round(r / max(f, 1e-9), 2)}
         for name, r, f in rows[1:]})
     assert speedup > 1.0
+    assert t_chk < t_chk_ref
 
 
 def _synthetic_shards(n_shards, records_per_shard, seed=2024):

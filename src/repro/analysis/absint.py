@@ -184,8 +184,9 @@ def solve(func, lattice, transfer, direction="forward", boundary=None,
         for succ in succs:
             edges_in[succ].append(label)
 
-    in_states = {label: lattice.bottom() for label in labels}
-    out_states = {label: lattice.bottom() for label in labels}
+    bottom = lattice.bottom()
+    in_states = dict.fromkeys(labels, bottom)
+    out_states = dict.fromkeys(labels, bottom)
     # Per-edge contributions (landing-pad edges carry call-site states).
     edge_states = {}
 
@@ -216,7 +217,7 @@ def solve(func, lattice, transfer, direction="forward", boundary=None,
             if edge_states.get((label, succ)) == contributed:
                 continue
             edge_states[(label, succ)] = contributed
-            new_in = boundary if succ in roots else lattice.bottom()
+            new_in = boundary if succ in roots else bottom
             for pred in edges_in[succ]:
                 if (pred, succ) in edge_states:
                     new_in = lattice.join(new_in, edge_states[(pred, succ)])

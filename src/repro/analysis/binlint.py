@@ -18,6 +18,9 @@ Three tiers, cheapest first:
 ``lint`` CLI subcommand.  :func:`gate_problems` is the rewriter's whole
 validation gate (``--validate``): it runs these same tiers on the
 emitted binary, reconstructing the output's CFGs once per attempt.
+Each body is decoded once: the instruction lists tier 2 decodes are
+handed to tier 3's reconstruction, which still builds every CFG from
+those bytes.
 """
 
 from repro.analysis.checkers import check_function, check_structure
@@ -35,8 +38,9 @@ _KNOWN_EXTERNAL = ("__abs__",)
 def lint_binary(binary, options=None, suppress=()):
     """Lint one binary; returns a :class:`LintReport`."""
     report = LintReport(suppressions=parse_suppressions(suppress))
-    _lint_metadata(binary, report)
-    context, failure = _rebuild(binary, options)
+    decoded = {}
+    _lint_metadata(binary, report, decoded)
+    context, failure = _rebuild(binary, options, decoded)
     if failure is not None:
         report.add(failure)
     else:
@@ -56,7 +60,7 @@ def _func_symbols(binary):
                   key=lambda s: (s.value, s.size))
 
 
-def _lint_metadata(binary, report):
+def _lint_metadata(binary, report, decoded):
     """Tiers 1+2 into ``report``.
 
     Returns the findings that leave the binary structurally broken,
@@ -65,6 +69,9 @@ def _lint_metadata(binary, report):
     end (BL102, or BL105 for an instruction straddling the symbol's
     end).  A body that decodes but ends without a terminator is lint,
     not breakage.
+
+    Every body that decodes to its end leaves its instruction list in
+    ``decoded``, keyed by the symbol's ``(address, size)``.
     """
     broken = []
 
@@ -118,9 +125,11 @@ def _lint_metadata(binary, report):
         if span in seen_ranges:
             continue  # exact alias: lint the bytes once
         seen_ranges.add(span)
-        stopped = _lint_body(section, sym, name, report)
+        stopped, insns = _lint_body(section, sym, name, report)
         if stopped is not None:
             broken.append(stopped)
+        else:
+            decoded[span] = insns
 
     # Dangling relocations.
     known = {s.link_name() for s in binary.symbols}
@@ -155,13 +164,15 @@ def _owner_of(binary, reloc):
 def _lint_body(section, sym, name, report):
     """Decode one function body; BL102 vs BL105 classification.
 
-    Returns the finding that stopped the decode short of the symbol's
-    end, or None when the body decodes to its end.
+    Returns ``(finding, None)`` with the finding that stopped the decode
+    short of the symbol's end, or ``(None, instructions)`` when the body
+    decodes to its end.
     """
     start = sym.value - section.addr
     end = start + sym.size
     offset = start
     last = None
+    insns = []
     while offset < end:
         try:
             insn = decode(section.data, offset,
@@ -171,7 +182,7 @@ def _lint_body(section, sym, name, report):
                 "BL102", f"body does not decode: {exc}",
                 function=name, address=sym.value + (offset - start))
             report.add(finding)
-            return finding
+            return finding, None
         if offset + insn.size > end:
             finding = Finding(
                 "BL105",
@@ -180,9 +191,10 @@ def _lint_body(section, sym, name, report):
                 f"size {sym.size} cuts the body mid-instruction",
                 function=name, address=insn.address)
             report.add(finding)
-            return finding
+            return finding, None
         if not insn.is_nop:
             last = insn
+        insns.append(insn)
         offset += insn.size
     if last is None or not last.is_terminator:
         what = last.mnemonic() if last is not None else "padding"
@@ -191,7 +203,7 @@ def _lint_body(section, sym, name, report):
             f"body ends in {what} instead of a terminator: control "
             f"falls off the symbol's end (wrong symbol size?)",
             function=name, address=sym.value + sym.size))
-    return None
+    return None, insns
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +211,10 @@ def _lint_body(section, sym, name, report):
 # ---------------------------------------------------------------------------
 
 
-def _rebuild(binary, options):
-    """Reconstruct a binary's CFGs; returns (context, None), or
-    (None, a BL102 finding) when reconstruction itself fails."""
+def _rebuild(binary, options, decoded):
+    """Reconstruct a binary's CFGs from ``decoded`` bodies (see
+    :func:`_lint_metadata`); returns (context, None), or (None, a BL102
+    finding) when reconstruction itself fails."""
     from repro.core.binary_context import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.discovery import discover_functions
@@ -212,7 +225,7 @@ def _rebuild(binary, options):
     try:
         context = BinaryContext(binary, opts)
         discover_functions(context)
-        build_all_functions(context)
+        build_all_functions(context, decoded)
     except Exception as exc:
         return None, Finding(
             "BL102",
@@ -257,12 +270,13 @@ def gate_problems(binary, options, result=None):
     out = result.binary
     report = LintReport(suppressions=options.lint_suppress)
     intact, decodable = _input_health(result.context)
-    broken = [f for f in _lint_metadata(out, report)
+    decoded = {}
+    broken = [f for f in _lint_metadata(out, report, decoded)
               if f.function is None or _base_name(f.function) in (
                   intact if f.rule == "BL103" else decodable)]
     if broken:
         return _render("output fails lint", broken)
-    context, failure = _rebuild(out, options)
+    context, failure = _rebuild(out, options, decoded)
     if failure is not None:
         return _render("output fails lint", [failure])
     invalid = []

@@ -26,10 +26,12 @@ from repro.analysis.absint import (
     solve,
 )
 from repro.analysis.rules import Finding
-from repro.core.dataflow import FLAGS, defines
+from repro.core.dataflow import FLAGS, def_operands
 from repro.core.emitter import COLD_SUFFIX
 from repro.core.validate import ValidationError, validate_function
 from repro.isa import Op, RBP, RSP
+from repro.isa.instruction import BRANCH_OPS
+from repro.isa.registers import reg_name
 
 
 def _is_cold_fragment(func):
@@ -45,14 +47,18 @@ def check_function(func):
         return []
     findings = []
     for checker in (check_structure, _check_unreachable,
-                    _check_fallthrough, _check_jump_tables,
-                    _check_stack_height, _check_callee_saved,
-                    _check_flags, _check_pass_facts):
+                    _check_fallthrough, _check_jump_tables):
+        findings.extend(checker(func))
+    # One walk summarizes what the three dataflow checkers observe.
+    summary = _summarize(func)
+    for checker in (_check_stack_height, _check_callee_saved,
+                    _check_flags):
         try:
-            findings.extend(checker(func))
+            findings.extend(checker(func, summary))
         except AnalysisError:
             # Conservative: a non-converging analysis proves nothing.
             continue
+    findings.extend(_check_pass_facts(func))
     return findings
 
 
@@ -207,7 +213,7 @@ def _check_pass_facts(func):
 
 
 # ---------------------------------------------------------------------------
-# Stack-height consistency (BL001)
+# Effect summaries: one walk feeds BL001, BL002 and BL003
 # ---------------------------------------------------------------------------
 
 
@@ -227,15 +233,188 @@ def _is_tail_call(insn):
     return False
 
 
-def _stack_step(insn, state, sink=None, func=None, block=None):
-    """Abstractly execute one instruction over (height, saved rbp height).
+# A summary entry is ``(kind, argument, instruction)``.  A block's
+# entries for one domain are the instructions that domain can observe,
+# in order; every other instruction is the identity there, so solving
+# over the entries is solving over the block.
+
+#: Any domain: a call with landing pads; the argument is its unwind
+#: target labels.
+_UNWIND = 0
+# BL001: (height, rbp height).
+(_S_EXIT, _S_PUSH, _S_POP, _S_ALLOC, _S_FREE, _S_LEAVE, _S_FRAME,
+ _S_CLOBBER) = range(1, 9)
+# BL002: exits, and effects ((state component, action), ...) on the
+# one tuple state that tracks every saved register.
+_C_EXIT, _C_EFFECT = 1, 2
+_SAVE, _RESTORE, _SLOT_LOST, _DIRTIED = range(4)
+# BL003: flag uses, defs and call clobbers.
+_F_USE, _F_DEF, _F_UNDEF = 1, 2, 3
+
+_FLAG_DEFS = frozenset({Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI})
+_FLAG_USES = frozenset({Op.JCC_SHORT, Op.JCC_LONG, Op.SETCC})
+_CALLS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
+_RETURNS = frozenset({Op.RET, Op.REPZ_RET})
+_STACK_OPS = frozenset({Op.PUSH, Op.POP, Op.SUB_RI, Op.ADD_RI, Op.MOV_RR})
+_INDEXED = frozenset({Op.LOADIDX, Op.STOREIDX})
+_OTHER_STORES = frozenset({Op.STOREIDX, Op.STORE_ABS})
+# Enum attribute lookups are slow; the walk compares against these.
+_PUSH, _POP, _SUB_RI, _MOV_RR = Op.PUSH, Op.POP, Op.SUB_RI, Op.MOV_RR
+_LOAD, _STORE, _LEA = Op.LOAD, Op.STORE, Op.LEA
+
+
+class _Summary:
+    """One function's per-block entries for BL001 (``stack``), BL002
+    (``saved``, empty when no saved register is tracked) and BL003
+    (``flags``), plus whether rbp escapes slot tracking.  It lives for
+    one ``check_function`` call."""
+
+    __slots__ = ("stack", "saved", "flags", "escapes")
+
+
+def _summarize(func):
+    """Walk every instruction of ``func`` once into a :class:`_Summary`."""
+    record = func.frame_record
+    saved = ()
+    if (record is not None and record.saved_regs
+            and not _is_cold_fragment(func)):
+        saved = record.saved_regs
+    by_slot, by_reg = {}, {}
+    for k, (reg, offset) in enumerate(saved):
+        by_slot.setdefault(-offset, []).append((k, reg))
+        by_reg.setdefault(reg, []).append(k)
+    all_lost = tuple((k, _SLOT_LOST) for k in range(len(saved)))
+
+    summary = _Summary()
+    summary.stack, summary.saved, summary.flags = {}, {}, {}
+    escapes = False
+    for label, block in func.blocks.items():
+        stack, kept, flags = [], [], []
+        pads = block.landing_pads
+        for insn in block.insns:
+            op = insn.op
+            regs = insn.regs
+            def_pos, defined = def_operands(op)
+            if def_pos:
+                defined = [regs[i] for i in def_pos] + [*defined]
+            is_call = op in _CALLS
+            is_return = op in _RETURNS
+            ann = insn.annotations
+            # Only a branch or a "tailcall"-annotated instruction can be
+            # a tail call.
+            exits = is_return or (
+                (op in BRANCH_OPS or (ann is not None and "tailcall" in ann))
+                and _is_tail_call(insn))
+            unwind = None
+            if is_call and pads:
+                lp = insn.get_annotation("lp")
+                unwind = (_UNWIND, [lp] if lp is not None else pads, insn)
+                stack.append(unwind)
+
+            # BL001: the first matching rule decides.
+            if exits:
+                stack.append((_S_EXIT, "returns" if is_return
+                              else "tail-calls", insn))
+            else:
+                entry = (_stack_entry(op, regs, insn)
+                         if op in _STACK_OPS else None)
+                if entry is None and not is_call and (
+                        RSP in defined or RBP in defined):
+                    entry = (_S_CLOBBER, (RSP in defined, RBP in defined),
+                             insn)
+                if entry is not None:
+                    stack.append(entry)
+
+            # BL002: per saved register, the first matching rule decides.
+            if saved:
+                if exits:
+                    kept.append((_C_EXIT, None, insn))
+                effects = None
+                if op == _STORE:
+                    if regs[0] == RBP:
+                        hits = by_slot.get(insn.disp)
+                        if hits:
+                            effects = tuple(
+                                (k, _SAVE if regs[1] == reg else _SLOT_LOST)
+                                for k, reg in hits)
+                    else:
+                        effects = all_lost     # untracked memory write
+                elif op in _OTHER_STORES:
+                    effects = all_lost
+                else:
+                    actions = None
+                    if op == _LOAD and regs[1] == RBP:
+                        for k, reg in by_slot.get(insn.disp, ()):
+                            if regs[0] == reg:
+                                actions = actions or {}
+                                actions[k] = _RESTORE
+                    for reg in defined:
+                        for k in by_reg.get(reg, ()):
+                            actions = actions or {}
+                            actions.setdefault(k, _DIRTIED)
+                    if actions:
+                        effects = tuple(actions.items())
+                if effects:
+                    kept.append((_C_EFFECT, effects, insn))
+                # rbp copied where slot tracking cannot follow it.
+                if op == _LEA and regs[1] == RBP:
+                    escapes = True
+                elif op == _MOV_RR and regs[1] == RBP and regs[0] != RSP:
+                    escapes = True
+                elif op in _INDEXED and RBP in regs[1:]:
+                    escapes = True
+
+            # BL003: uses are checked before the step.
+            if op in _FLAG_USES:
+                flags.append((_F_USE, None, insn))
+            if op in _FLAG_DEFS:
+                flags.append((_F_DEF, None, insn))
+            elif is_call:
+                flags.append((_F_UNDEF, None, insn))  # calls clobber flags
+            elif FLAGS in defined:
+                flags.append((_F_DEF, None, insn))
+            if unwind is not None:
+                flags.append(unwind)  # unwinding sees the call's clobber
+        summary.stack[label] = stack
+        summary.saved[label] = kept
+        summary.flags[label] = flags
+    summary.escapes = escapes
+    return summary
+
+
+def _stack_entry(op, regs, insn):
+    """The BL001 entry of a push, pop, rsp adjustment or rsp/rbp move;
+    None when the operands make it an ordinary instruction."""
+    if op == _PUSH:
+        return (_S_PUSH, None, insn)
+    if op == _POP:
+        return (_S_POP, regs[0] if regs else None, insn)
+    if op == _MOV_RR:
+        if regs == (RSP, RBP):
+            return (_S_LEAVE, None, insn)
+        if regs == (RBP, RSP):
+            return (_S_FRAME, None, insn)
+        return None
+    if regs and regs[0] == RSP:
+        return (_S_ALLOC if op == _SUB_RI else _S_FREE, insn.imm, insn)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Stack-height consistency (BL001)
+# ---------------------------------------------------------------------------
+
+
+def _stack_step(entry, state, sink=None, func=None, block=None):
+    """Abstractly execute one summary entry over (height, saved rbp
+    height).
 
     ``height`` is bytes pushed since function entry (concrete int or
     TOP); ``rbp_height`` is the height captured by ``mov rbp, rsp``.
     When ``sink`` is given, definite violations are appended to it.
     """
+    kind, arg, insn = entry
     h, rbp_h = state
-    op = insn.op
 
     def report(message):
         if sink is not None:
@@ -243,63 +422,56 @@ def _stack_step(insn, state, sink=None, func=None, block=None):
                                 block=block.label,
                                 address=insn.address))
 
-    if insn.is_return or _is_tail_call(insn):
+    if kind == _S_EXIT:
         if isinstance(h, int) and h != 0:
-            kind = "returns" if insn.is_return else "tail-calls"
-            report(f"{kind} with {h} byte(s) left on the stack "
+            report(f"{arg} with {h} byte(s) left on the stack "
                    f"(unbalanced push/pop or missing epilogue)")
-        return h, rbp_h
-
-    if op == Op.PUSH:
+        return state
+    if kind == _S_PUSH:
         return (h + 8 if isinstance(h, int) else h), rbp_h
-    if op == Op.POP:
+    if kind == _S_POP:
         if isinstance(h, int):
             h -= 8
             if h < 0:
                 report("pops below the incoming stack pointer")
                 h = TOP
-        if insn.regs and insn.regs[0] == RBP:
+        if arg == RBP:
             rbp_h = TOP
-        elif insn.regs and insn.regs[0] == RSP:
+        elif arg == RSP:
             h = TOP
         return h, rbp_h
-    if op == Op.SUB_RI and insn.regs and insn.regs[0] == RSP:
-        return (h + insn.imm if isinstance(h, int) else h), rbp_h
-    if op == Op.ADD_RI and insn.regs and insn.regs[0] == RSP:
+    if kind == _S_ALLOC:
+        return (h + arg if isinstance(h, int) else h), rbp_h
+    if kind == _S_FREE:
         if isinstance(h, int):
-            h -= insn.imm
+            h -= arg
             if h < 0:
                 report("releases more stack than was allocated")
                 h = TOP
         return h, rbp_h
-    if op == Op.MOV_RR and insn.regs == (RSP, RBP):
+    if kind == _S_LEAVE:
         return rbp_h, rbp_h                     # mov rsp, rbp (epilogue)
-    if op == Op.MOV_RR and insn.regs == (RBP, RSP):
+    if kind == _S_FRAME:
         return h, h                             # mov rbp, rsp (prologue)
-    if insn.is_call:
-        return h, rbp_h                         # balanced by convention
-
-    if defines(insn, RSP):
-        h = TOP
-    if defines(insn, RBP):
-        rbp_h = TOP
-    return h, rbp_h
+    rsp_lost, rbp_lost = arg                    # _S_CLOBBER
+    return (TOP if rsp_lost else h), (TOP if rbp_lost else rbp_h)
 
 
-def _check_stack_height(func):
+def _check_stack_height(func, summary):
     lattice = TupleLattice(FlatLattice(), FlatLattice())
+    bottom = lattice.bottom()
+    entries = summary.stack
 
     def transfer(block, state):
         edge_states = {}
-        for insn in block.insns:
-            if insn.is_call and block.landing_pads:
-                lp = insn.get_annotation("lp")
-                targets = [lp] if lp is not None else block.landing_pads
+        for entry in entries[block.label]:
+            if entry[0] == _UNWIND:
                 # Unwinding resumes with the frame as it was at the call.
-                for target in targets:
-                    prev = edge_states.get(target, lattice.bottom())
+                for target in entry[1]:
+                    prev = edge_states.get(target, bottom)
                     edge_states[target] = lattice.join(prev, state)
-            state = _stack_step(insn, state)
+            else:
+                state = _stack_step(entry, state)
         return BlockResult(state, edge_states)
 
     # A cold fragment is entered mid-frame: its height is unknown.
@@ -308,14 +480,14 @@ def _check_stack_height(func):
                          boundary=(entry_height, TOP))
 
     findings = []
-    bottom = lattice.bottom()
     for label, block in func.blocks.items():
         state = in_states.get(label, bottom)
         if state == bottom:
             continue  # unreachable: BL004's business
-        for insn in block.insns:
-            state = _stack_step(insn, state, sink=findings, func=func,
-                                block=block)
+        for entry in entries[label]:
+            if entry[0] != _UNWIND:
+                state = _stack_step(entry, state, sink=findings, func=func,
+                                    block=block)
     return findings
 
 
@@ -327,42 +499,40 @@ _ORIG, _DIRTY = "orig", "dirty"
 _EMPTY, _SAVED = "empty", "saved"
 
 
-def _saved_reg_step(insn, state, reg, offset):
-    """(register state, save-slot state) across one instruction."""
-    r, s = state
-    op = insn.op
-    if op == Op.STORE and insn.regs == (RBP, reg) and insn.disp == -offset:
-        return r, (_SAVED if r == _ORIG else TOP)
-    if op == Op.LOAD and insn.regs == (reg, RBP) and insn.disp == -offset:
-        return (_ORIG if s == _SAVED else TOP), s
-    if op == Op.STORE and insn.regs[0] == RBP and insn.disp == -offset:
-        return r, TOP                       # another register overwrote it
-    if op in (Op.STORE, Op.STOREIDX, Op.STORE_ABS) \
-            and not (op == Op.STORE and insn.regs[0] == RBP):
-        return r, TOP                       # untracked memory write
-    if defines(insn, reg):
-        return _DIRTY, s
-    return r, s
+def _saved_step(effects, state):
+    """Apply one instruction's effects to the saved-register state.
+
+    The state is flat: ``(reg 0, slot 0, reg 1, slot 1, ...)`` in
+    frame-record order, each component its own flat lattice.
+    """
+    state = list(state)
+    for k, action in effects:
+        r = 2 * k
+        if action == _SAVE:
+            state[r + 1] = _SAVED if state[r] == _ORIG else TOP
+        elif action == _RESTORE:
+            state[r] = _ORIG if state[r + 1] == _SAVED else TOP
+        elif action == _SLOT_LOST:
+            state[r + 1] = TOP
+        else:
+            state[r] = _DIRTY
+    return tuple(state)
 
 
-def _check_callee_saved(func):
-    from repro.core.dataflow import stack_slot_accesses
-
+def _check_callee_saved(func, summary):
     record = func.frame_record
     if record is None or not record.saved_regs:
         return []
     if _is_cold_fragment(func):
         # Saves happen in the hot parent; no entry invariant holds here.
         return []
-    _, _, escapes = stack_slot_accesses(func)
-    if escapes:
+    if summary.escapes:
         return []  # rbp escapes: slot tracking would be unsound
 
-    findings = []
+    saved = record.saved_regs
+    by_reg = [[] for _ in saved]        # findings, grouped per register
     facts = func.analysis_facts.get("shrink-wrap", {})
-    from repro.isa.registers import reg_name
-
-    for reg, offset in record.saved_regs:
+    for k, (reg, offset) in enumerate(saved):
         # Cross-check the shrink-wrapping fact: if the pass claims the
         # save moved into a block, the store must actually be there.
         moved_to = facts.get(reg)
@@ -372,71 +542,68 @@ def _check_callee_saved(func):
                 insn.op == Op.STORE and insn.regs == (RBP, reg)
                 and insn.disp == -offset for insn in home.insns)
             if not present:
-                findings.append(Finding(
+                by_reg[k].append(Finding(
                     "BL002",
                     f"shrink-wrapping recorded %{reg_name(reg)}'s save "
                     f"moved to {moved_to}, but no save store is there",
                     function=func.name, block=moved_to))
 
-        lattice = TupleLattice(FlatLattice(), FlatLattice())
+    # One solve tracks every saved register: the components never
+    # interact, so this is each register's own fixpoint side by side.
+    lattice = TupleLattice(*[FlatLattice()] * (2 * len(saved)))
+    entries = summary.saved
 
-        def transfer(block, state, reg=reg, offset=offset):
-            for insn in block.insns:
-                state = _saved_reg_step(insn, state, reg, offset)
-            return state
+    def transfer(block, state):
+        for kind, effects, _ in entries[block.label]:
+            if kind == _C_EFFECT:
+                state = _saved_step(effects, state)
+        return state
 
-        in_states, _ = solve(func, lattice, transfer,
-                             boundary=(_ORIG, _EMPTY))
-        bottom = lattice.bottom()
-        for label, block in func.blocks.items():
-            state = in_states.get(label, bottom)
-            if state == bottom:
+    in_states, _ = solve(func, lattice, transfer,
+                         boundary=(_ORIG, _EMPTY) * len(saved))
+    bottom = lattice.bottom()
+    for label in func.blocks:
+        state = in_states.get(label, bottom)
+        if state == bottom:
+            continue
+        reported = set()  # one report per register per block
+        for kind, effects, insn in entries[label]:
+            if kind == _C_EFFECT:
+                state = _saved_step(effects, state)
                 continue
-            for insn in block.insns:
-                if (insn.is_return or _is_tail_call(insn)) \
-                        and state[0] == _DIRTY:
-                    findings.append(Finding(
+            for k, (reg, offset) in enumerate(saved):
+                if state[2 * k] == _DIRTY and k not in reported:
+                    reported.add(k)
+                    by_reg[k].append(Finding(
                         "BL002",
                         f"exits with callee-saved %{reg_name(reg)} "
                         f"clobbered and not restored from its save slot "
                         f"(rbp{-offset:+#x})",
                         function=func.name, block=label,
                         address=insn.address))
-                    break
-                state = _saved_reg_step(insn, state, reg, offset)
-    return findings
+    return [finding for found in by_reg for finding in found]
 
 
 # ---------------------------------------------------------------------------
 # Flags use-before-def (BL003)
 # ---------------------------------------------------------------------------
 
-_FLAG_DEFS = frozenset({Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI})
-_FLAG_USES = frozenset({Op.JCC_SHORT, Op.JCC_LONG, Op.SETCC})
 _UNDEF, _DEF = "undef", "def"
 
 
-def _flags_step(insn, state):
-    if insn.op in _FLAG_DEFS:
-        return _DEF
-    if insn.is_call:
-        return _UNDEF  # calls clobber flags (ABI)
-    if defines(insn, FLAGS):
-        return _DEF
-    return state
-
-
-def _check_flags(func):
+def _check_flags(func, summary):
     lattice = FlatLattice()
+    entries = summary.flags
 
     def transfer(block, state):
         edge_states = {}
-        for insn in block.insns:
-            state = _flags_step(insn, state)
-            if insn.is_call and block.landing_pads:
-                lp = insn.get_annotation("lp")
-                for target in ([lp] if lp is not None
-                               else block.landing_pads):
+        for kind, arg, _ in entries[block.label]:
+            if kind == _F_DEF:
+                state = _DEF
+            elif kind == _F_UNDEF:
+                state = _UNDEF
+            elif kind == _UNWIND:
+                for target in arg:
                     prev = edge_states.get(target, BOTTOM)
                     edge_states[target] = lattice.join(prev, state)
         return BlockResult(state, edge_states)
@@ -447,12 +614,12 @@ def _check_flags(func):
     in_states, _ = solve(func, lattice, transfer, boundary=boundary)
 
     findings = []
-    for label, block in func.blocks.items():
+    for label in func.blocks:
         state = in_states.get(label, BOTTOM)
         if state is BOTTOM:
             continue
-        for insn in block.insns:
-            if insn.op in _FLAG_USES and state == _UNDEF:
+        for kind, _, insn in entries[label]:
+            if kind == _F_USE and state == _UNDEF:
                 findings.append(Finding(
                     "BL003",
                     f"{insn.mnemonic()} consumes flags that no path "
@@ -460,5 +627,8 @@ def _check_flags(func):
                     function=func.name, block=label,
                     address=insn.address))
                 break  # one report per block is plenty
-            state = _flags_step(insn, state)
+            if kind == _F_DEF:
+                state = _DEF
+            elif kind == _F_UNDEF:
+                state = _UNDEF
     return findings

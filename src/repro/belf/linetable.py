@@ -62,6 +62,33 @@ class LineTable:
         entry = self.entries[idx]
         return (entry.file, entry.line)
 
+    def lookup_ascending(self, addrs):
+        """``[lookup(a) for a in addrs]`` for ascending ``addrs``: one
+        bisect, then a forward walk.  Addresses covered by the same row
+        share one location tuple."""
+        self._ensure_sorted()
+        if not self.entries:
+            return [None] * len(addrs)
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = [e.addr for e in self.entries]
+        entries = self.entries
+        last = len(keys) - 1
+        idx = bisect.bisect_right(keys, addrs[0]) - 1 if addrs else -1
+        shared_idx = loc = None
+        out = []
+        for addr in addrs:
+            while idx < last and keys[idx + 1] <= addr:
+                idx += 1
+            if idx < 0:
+                out.append(None)
+                continue
+            if idx != shared_idx:
+                entry = entries[idx]
+                shared_idx, loc = idx, (entry.file, entry.line)
+            out.append(loc)
+        return out
+
     def rebase(self, mapping):
         """Return a new table with addresses translated through ``mapping``.
 

@@ -5,15 +5,17 @@ the performance layer landed: the quadratic ``callers_of`` arc scan
 behind HFSort, the cubic ``arc_weight`` rescans of HFSort+, the
 full-edge-set ``cross_weight``/``chain_score`` recomputation inside
 ext-TSP's O(chains^2) merge loop, the ``copy.deepcopy``-based
-per-function snapshot, and the rebuild-the-key-list-per-query line
-table lookup.
+per-function snapshot, the rebuild-the-key-list-per-query line table
+lookup, and the per-instruction BL001/BL002/BL003 lint checkers
+that solved once per saved register.
 
 They are kept for two reasons:
 
 * **Equivalence oracle** — the rewritten fast kernels must produce
   *identical* results; ``tests/test_hfsort.py`` checks the orders on
   randomized graphs (hypothesis), ``tests/test_value_semantics.py`` the
-  per-opcode tables, snapshots and ICF keys.
+  per-opcode tables, snapshots and ICF keys, and
+  ``tests/test_analysis_summaries.py`` the BL001/BL002/BL003 checkers.
 * **Benchmark baseline** — ``benchmarks/test_processing_time.py``
   measures the fast kernels (and the end-to-end pipeline) against
   these to produce the ``BENCH_pr3.json`` trajectory, reproducing the
@@ -24,9 +26,19 @@ Nothing in the pipeline itself may import this module.
 
 import copy
 
-from repro.core.dataflow import FLAGS, UnmodeledOpcodeError
+from repro.analysis.absint import (
+    BOTTOM,
+    TOP,
+    BlockResult,
+    FlatLattice,
+    TupleLattice,
+    solve,
+)
+from repro.analysis.checkers import _is_cold_fragment, _is_tail_call
+from repro.analysis.rules import Finding
+from repro.core.dataflow import FLAGS, UnmodeledOpcodeError, defines
 from repro.core.hfsort import _Cluster
-from repro.isa import RAX, RSP
+from repro.isa import RAX, RBP, RSP
 from repro.isa.opcodes import Op, OPERAND_FORMATS, _ATOM_SIZES
 from repro.isa.registers import ARG_REGS, CALLER_SAVED
 
@@ -424,3 +436,237 @@ def normalize_self_reference(func):
         return item
 
     return swap(key)
+
+
+# ---------------------------------------------------------------------------
+# Dataflow lint checkers (every instruction stepped, one solve per
+# saved register)
+# ---------------------------------------------------------------------------
+
+def _stack_step_reference(insn, state, sink=None, func=None, block=None):
+    """Abstractly execute one instruction over (height, saved rbp height).
+
+    ``height`` is bytes pushed since function entry (concrete int or
+    TOP); ``rbp_height`` is the height captured by ``mov rbp, rsp``.
+    When ``sink`` is given, definite violations are appended to it.
+    """
+    h, rbp_h = state
+    op = insn.op
+
+    def report(message):
+        if sink is not None:
+            sink.append(Finding("BL001", message, function=func.name,
+                                block=block.label,
+                                address=insn.address))
+
+    if insn.is_return or _is_tail_call(insn):
+        if isinstance(h, int) and h != 0:
+            kind = "returns" if insn.is_return else "tail-calls"
+            report(f"{kind} with {h} byte(s) left on the stack "
+                   f"(unbalanced push/pop or missing epilogue)")
+        return h, rbp_h
+
+    if op == Op.PUSH:
+        return (h + 8 if isinstance(h, int) else h), rbp_h
+    if op == Op.POP:
+        if isinstance(h, int):
+            h -= 8
+            if h < 0:
+                report("pops below the incoming stack pointer")
+                h = TOP
+        if insn.regs and insn.regs[0] == RBP:
+            rbp_h = TOP
+        elif insn.regs and insn.regs[0] == RSP:
+            h = TOP
+        return h, rbp_h
+    if op == Op.SUB_RI and insn.regs and insn.regs[0] == RSP:
+        return (h + insn.imm if isinstance(h, int) else h), rbp_h
+    if op == Op.ADD_RI and insn.regs and insn.regs[0] == RSP:
+        if isinstance(h, int):
+            h -= insn.imm
+            if h < 0:
+                report("releases more stack than was allocated")
+                h = TOP
+        return h, rbp_h
+    if op == Op.MOV_RR and insn.regs == (RSP, RBP):
+        return rbp_h, rbp_h                     # mov rsp, rbp (epilogue)
+    if op == Op.MOV_RR and insn.regs == (RBP, RSP):
+        return h, h                             # mov rbp, rsp (prologue)
+    if insn.is_call:
+        return h, rbp_h                         # balanced by convention
+
+    if defines(insn, RSP):
+        h = TOP
+    if defines(insn, RBP):
+        rbp_h = TOP
+    return h, rbp_h
+
+
+def check_stack_height_reference(func):
+    lattice = TupleLattice(FlatLattice(), FlatLattice())
+
+    def transfer(block, state):
+        edge_states = {}
+        for insn in block.insns:
+            if insn.is_call and block.landing_pads:
+                lp = insn.get_annotation("lp")
+                targets = [lp] if lp is not None else block.landing_pads
+                # Unwinding resumes with the frame as it was at the call.
+                for target in targets:
+                    prev = edge_states.get(target, lattice.bottom())
+                    edge_states[target] = lattice.join(prev, state)
+            state = _stack_step_reference(insn, state)
+        return BlockResult(state, edge_states)
+
+    # A cold fragment is entered mid-frame: its height is unknown.
+    entry_height = TOP if _is_cold_fragment(func) else 0
+    in_states, _ = solve(func, lattice, transfer,
+                         boundary=(entry_height, TOP))
+
+    findings = []
+    bottom = lattice.bottom()
+    for label, block in func.blocks.items():
+        state = in_states.get(label, bottom)
+        if state == bottom:
+            continue  # unreachable: BL004's business
+        for insn in block.insns:
+            state = _stack_step_reference(insn, state, sink=findings,
+                                          func=func, block=block)
+    return findings
+
+
+_ORIG, _DIRTY = "orig", "dirty"
+_EMPTY, _SAVED = "empty", "saved"
+
+
+def _saved_reg_step_reference(insn, state, reg, offset):
+    """(register state, save-slot state) across one instruction."""
+    r, s = state
+    op = insn.op
+    if op == Op.STORE and insn.regs == (RBP, reg) and insn.disp == -offset:
+        return r, (_SAVED if r == _ORIG else TOP)
+    if op == Op.LOAD and insn.regs == (reg, RBP) and insn.disp == -offset:
+        return (_ORIG if s == _SAVED else TOP), s
+    if op == Op.STORE and insn.regs[0] == RBP and insn.disp == -offset:
+        return r, TOP                       # another register overwrote it
+    if op in (Op.STORE, Op.STOREIDX, Op.STORE_ABS) \
+            and not (op == Op.STORE and insn.regs[0] == RBP):
+        return r, TOP                       # untracked memory write
+    if defines(insn, reg):
+        return _DIRTY, s
+    return r, s
+
+
+def check_callee_saved_reference(func):
+    from repro.core.dataflow import stack_slot_accesses
+
+    record = func.frame_record
+    if record is None or not record.saved_regs:
+        return []
+    if _is_cold_fragment(func):
+        # Saves happen in the hot parent; no entry invariant holds here.
+        return []
+    _, _, escapes = stack_slot_accesses(func)
+    if escapes:
+        return []  # rbp escapes: slot tracking would be unsound
+
+    findings = []
+    facts = func.analysis_facts.get("shrink-wrap", {})
+    from repro.isa.registers import reg_name
+
+    for reg, offset in record.saved_regs:
+        # Cross-check the shrink-wrapping fact: if the pass claims the
+        # save moved into a block, the store must actually be there.
+        moved_to = facts.get(reg)
+        if moved_to is not None:
+            home = func.blocks.get(moved_to)
+            present = home is not None and any(
+                insn.op == Op.STORE and insn.regs == (RBP, reg)
+                and insn.disp == -offset for insn in home.insns)
+            if not present:
+                findings.append(Finding(
+                    "BL002",
+                    f"shrink-wrapping recorded %{reg_name(reg)}'s save "
+                    f"moved to {moved_to}, but no save store is there",
+                    function=func.name, block=moved_to))
+
+        lattice = TupleLattice(FlatLattice(), FlatLattice())
+
+        def transfer(block, state, reg=reg, offset=offset):
+            for insn in block.insns:
+                state = _saved_reg_step_reference(insn, state, reg, offset)
+            return state
+
+        in_states, _ = solve(func, lattice, transfer,
+                             boundary=(_ORIG, _EMPTY))
+        bottom = lattice.bottom()
+        for label, block in func.blocks.items():
+            state = in_states.get(label, bottom)
+            if state == bottom:
+                continue
+            for insn in block.insns:
+                if (insn.is_return or _is_tail_call(insn)) \
+                        and state[0] == _DIRTY:
+                    findings.append(Finding(
+                        "BL002",
+                        f"exits with callee-saved %{reg_name(reg)} "
+                        f"clobbered and not restored from its save slot "
+                        f"(rbp{-offset:+#x})",
+                        function=func.name, block=label,
+                        address=insn.address))
+                    break
+                state = _saved_reg_step_reference(insn, state, reg, offset)
+    return findings
+
+
+_FLAG_DEFS = frozenset({Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI})
+_FLAG_USES = frozenset({Op.JCC_SHORT, Op.JCC_LONG, Op.SETCC})
+_UNDEF, _DEF = "undef", "def"
+
+
+def _flags_step_reference(insn, state):
+    if insn.op in _FLAG_DEFS:
+        return _DEF
+    if insn.is_call:
+        return _UNDEF  # calls clobber flags (ABI)
+    if defines(insn, FLAGS):
+        return _DEF
+    return state
+
+
+def check_flags_reference(func):
+    lattice = FlatLattice()
+
+    def transfer(block, state):
+        edge_states = {}
+        for insn in block.insns:
+            state = _flags_step_reference(insn, state)
+            if insn.is_call and block.landing_pads:
+                lp = insn.get_annotation("lp")
+                for target in ([lp] if lp is not None
+                               else block.landing_pads):
+                    prev = edge_states.get(target, BOTTOM)
+                    edge_states[target] = lattice.join(prev, state)
+        return BlockResult(state, edge_states)
+
+    # Flags set in the hot parent may be live on entry to a cold
+    # fragment (a conditional branch can target it directly).
+    boundary = TOP if _is_cold_fragment(func) else _UNDEF
+    in_states, _ = solve(func, lattice, transfer, boundary=boundary)
+
+    findings = []
+    for label, block in func.blocks.items():
+        state = in_states.get(label, BOTTOM)
+        if state is BOTTOM:
+            continue
+        for insn in block.insns:
+            if insn.op in _FLAG_USES and state == _UNDEF:
+                findings.append(Finding(
+                    "BL003",
+                    f"{insn.mnemonic()} consumes flags that no path "
+                    f"defines (missing compare, or clobbered by a call)",
+                    function=func.name, block=label,
+                    address=insn.address))
+                break  # one report per block is plenty
+            state = _flags_step_reference(insn, state)
+    return findings

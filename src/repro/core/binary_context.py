@@ -97,11 +97,6 @@ class BinaryContext:
     def read_word(self, address):
         return self.binary.read_word(address)
 
-    def line_for(self, address):
-        if self.binary.line_table is None:
-            return None
-        return self.binary.line_table.lookup(address)
-
     # -- PLT ----------------------------------------------------------------------
 
     def _index_plt(self):

@@ -9,34 +9,48 @@ not recognizable jump-table dispatches — i.e. indirect tail calls.
 """
 
 from repro.isa import Op, SymRef, decode_stream, DecodeError
+from repro.isa.instruction import BRANCH_OPS, TERMINATOR_OPS
 from repro.core.binary_function import BinaryBasicBlock, JumpTable
+
+# Enum attribute lookups are slow; the per-instruction loops use these.
+_JMP_REG, _CALL = Op.JMP_REG, Op.CALL
 
 #: Pseudo-symbol whose resolved address is 0 — used to keep absolute
 #: branch targets (e.g. calls to PLT stubs) through re-emission.
 ABS_SYMBOL = "__abs__"
 
 
-def build_all_functions(context):
-    """Disassemble + build CFGs for every discovered function."""
+def build_all_functions(context, decoded=None):
+    """Disassemble + build CFGs for every discovered function.
+
+    ``decoded`` optionally maps ``(address, size)`` to a body a caller
+    already decoded from the same bytes (the lint gate's decode tier);
+    each list is used by one function, which then owns it.
+    """
     # Address -> OBJECT symbol index (jump-table discovery).
     context._object_by_addr = {
         sym.value: sym for sym in context.object_symbols.values()
     }
     for func in context.functions.values():
-        build_function_cfg(context, func)
+        insns = None
+        if decoded:
+            insns = decoded.pop((func.address, func.size), None)
+        build_function_cfg(context, func, insns)
 
 
-def build_function_cfg(context, func):
-    try:
-        insns = decode_stream(func.raw_bytes, base_address=func.address)
-    except DecodeError as exc:
-        func.mark_non_simple(f"decode-error: {exc}")
-        return func
+def build_function_cfg(context, func, insns=None):
+    if insns is None:
+        try:
+            insns = decode_stream(func.raw_bytes, base_address=func.address)
+        except DecodeError as exc:
+            func.mark_non_simple(f"decode-error: {exc}")
+            return func
 
     # Debug info annotation (read-debug-info stage).
-    if context.binary.line_table is not None:
-        for insn in insns:
-            loc = context.line_for(insn.address)
+    lines = context.binary.line_table
+    if lines is not None:
+        locs = lines.lookup_ascending([insn.address for insn in insns])
+        for insn, loc in zip(insns, locs):
             if loc is not None:
                 insn.set_annotation("loc", loc)
 
@@ -51,7 +65,7 @@ def build_function_cfg(context, func):
     # -- jump-table discovery ------------------------------------------------
     jump_tables = {}
     for index, insn in enumerate(insns):
-        if insn.op != Op.JMP_REG:
+        if insn.op != _JMP_REG:
             continue
         table = _match_jump_table(context, func, insns, index)
         if table is None:
@@ -63,7 +77,8 @@ def build_function_cfg(context, func):
     # -- classify control transfers, collect leaders ---------------------------
     leaders = {start}
     for index, insn in enumerate(insns):
-        if insn.is_branch and insn.target is not None:
+        op = insn.op
+        if op in BRANCH_OPS and insn.target is not None:
             if start <= insn.target < end:
                 leaders.add(insn.target)
                 leaders.add(insn.address + insn.size)
@@ -73,7 +88,7 @@ def build_function_cfg(context, func):
                     _build_syntactic_blocks(func, insns)
                     return func
                 leaders.add(insn.address + insn.size)
-        elif insn.op == Op.CALL:
+        elif op == _CALL:
             if insn.target == func.address or not (start <= insn.target < end):
                 ok = _symbolize_external(context, func, insn, tail=False)
                 if not ok:
@@ -83,7 +98,7 @@ def build_function_cfg(context, func):
                 func.mark_non_simple("call into function body")
                 _build_syntactic_blocks(func, insns)
                 return func
-        elif insn.is_terminator:
+        elif op in TERMINATOR_OPS:
             leaders.add(insn.address + insn.size)
         if index in jump_tables:
             for target in jump_tables[index].entries:  # absolute targets
@@ -108,7 +123,8 @@ def build_function_cfg(context, func):
         lp_offsets = {cs.landing_pad for cs in record.callsites}
     branch_targets = set()
     for index, insn in enumerate(insns):
-        if insn.is_branch and insn.target is not None and start <= insn.target < end:
+        if (insn.op in BRANCH_OPS and insn.target is not None
+                and start <= insn.target < end):
             branch_targets.add(insn.target)
         if index in jump_tables:
             branch_targets.update(jump_tables[index].entries)

@@ -117,6 +117,15 @@ def defines(insn, reg):
     return False
 
 
+def def_operands(op):
+    """(def operand positions, fixed defs) of ``op``: what ``defines``
+    reads, for callers that classify a whole instruction at once."""
+    entry = _USE_DEF.get(op)
+    if entry is None:
+        raise UnmodeledOpcodeError(op)
+    return entry[1], entry[3]
+
+
 def block_uses_defs(block):
     """Upward-exposed uses and defs for a whole block."""
     uses, defs = set(), set()

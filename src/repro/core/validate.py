@@ -17,6 +17,7 @@ shipping a corrupt executable.
 """
 
 from repro.isa import Op
+from repro.isa.instruction import BRANCH_OPS, TERMINATOR_OPS
 
 
 class ValidationError(Exception):
@@ -61,24 +62,26 @@ def validate_function(func):
                 problems.append(
                     f"{label}: negative edge count {count} -> {succ}")
 
+        last = len(block.insns) - 1
         for index, insn in enumerate(block.insns):
-            last = index == len(block.insns) - 1
-            if insn.is_branch and insn.label is not None:
-                if insn.label not in labels:
-                    problems.append(
-                        f"{label}: branch to unknown label {insn.label}")
-                elif insn.label not in block.successors:
-                    problems.append(
-                        f"{label}: branch target {insn.label} missing from "
-                        f"successors")
-            if insn.label is not None and insn.sym is not None:
-                problems.append(f"{label}: insn has both label and sym")
-            if not last and insn.is_terminator:
+            if insn.label is not None:
+                if insn.op in BRANCH_OPS:
+                    if insn.label not in labels:
+                        problems.append(
+                            f"{label}: branch to unknown label {insn.label}")
+                    elif insn.label not in block.successors:
+                        problems.append(
+                            f"{label}: branch target {insn.label} missing "
+                            f"from successors")
+                if insn.sym is not None:
+                    problems.append(f"{label}: insn has both label and sym")
+            if index != last and insn.op in TERMINATOR_OPS:
                 # Terminators may only appear at block end.
                 problems.append(
                     f"{label}: terminator {insn.mnemonic()} mid-block "
                     f"(index {index})")
-            lp = insn.get_annotation("lp")
+            ann = insn.annotations
+            lp = ann.get("lp") if ann else None
             if lp is not None and lp not in block.landing_pads:
                 problems.append(
                     f"{label}: call's landing pad {lp} not registered on "

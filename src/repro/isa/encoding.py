@@ -2,7 +2,7 @@
 
 import struct
 
-from repro.isa.opcodes import Op, OPERAND_FORMATS, format_size
+from repro.isa.opcodes import Op, CondCode, OPERAND_FORMATS, format_size
 
 
 class EncodeError(Exception):
@@ -41,6 +41,8 @@ def encode(insn, address=None):
         if insn.imm is None or insn.imm < 2 or insn.imm > 255:
             raise EncodeError(f"NOPN length must be in [2, 255]: {insn}")
         return bytes([int(Op.NOPN), insn.imm]) + b"\x00" * (insn.imm - 2)
+    if op == Op.SETCC and not 0 <= insn.imm < len(CondCode):
+        raise EncodeError(f"SETCC condition code {insn.imm} out of range: {insn}")
 
     out = bytearray()
     if op == Op.JCC_LONG:

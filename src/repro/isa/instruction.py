@@ -63,6 +63,11 @@ _CALLS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
 _RETURNS = frozenset({Op.RET, Op.REPZ_RET})
 _INDIRECT = frozenset({Op.CALL_REG, Op.CALL_MEM, Op.JMP_REG, Op.JMP_MEM})
 _NOPS = frozenset({Op.NOP, Op.NOPN})
+#: Opcodes after which control cannot fall through.
+TERMINATOR_OPS = _UNCOND_BRANCHES | _RETURNS | frozenset(
+    {Op.JMP_REG, Op.JMP_MEM, Op.HALT, Op.TRAP})
+#: Direct branches, conditional or not (``Instruction.is_branch``).
+BRANCH_OPS = _UNCOND_BRANCHES | _COND_BRANCHES
 _NOPN = Op.NOPN
 _new = object.__new__
 
@@ -151,7 +156,7 @@ class Instruction:
 
     @property
     def is_branch(self):
-        return self.op in _UNCOND_BRANCHES or self.op in _COND_BRANCHES
+        return self.op in BRANCH_OPS
 
     @property
     def is_call(self):
@@ -176,11 +181,7 @@ class Instruction:
     @property
     def is_terminator(self):
         """True when control cannot fall through to the next instruction."""
-        return (
-            self.op in _UNCOND_BRANCHES
-            or self.op in _RETURNS
-            or self.op in (Op.JMP_REG, Op.JMP_MEM, Op.HALT, Op.TRAP)
-        )
+        return self.op in TERMINATOR_OPS
 
     @property
     def reads_memory(self):

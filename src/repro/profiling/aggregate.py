@@ -50,15 +50,24 @@ class AddressMapper:
         )
         self.starts = [s.value for s in funcs]
         self.funcs = funcs
+        # A sampled run maps hundreds of thousands of LBR endpoints but
+        # only a few thousand distinct addresses; the memo lives and
+        # dies with the mapper.
+        self._memo = {}
 
     def map(self, addr):
+        try:
+            return self._memo[addr]
+        except KeyError:
+            pass
+        loc = None
         idx = bisect.bisect_right(self.starts, addr) - 1
-        if idx < 0:
-            return None
-        sym = self.funcs[idx]
-        if not sym.contains(addr):
-            return None
-        return (sym.link_name(), addr - sym.value)
+        if idx >= 0:
+            sym = self.funcs[idx]
+            if sym.contains(addr):
+                loc = (sym.link_name(), addr - sym.value)
+        self._memo[addr] = loc
+        return loc
 
 
 def aggregate_samples(samples, mapper, event="cycles", lbr=True,

@@ -603,7 +603,7 @@ class BlockCPU(ReferenceCPU):
                         fa = _wrap(regs[a] & b)
                         fb = 0
                     elif k == 34:       # SETCC
-                        regs[a] = 1 if _cc_eval(int(CondCode(b)), fa, fb) else 0
+                        regs[a] = 1 if _cc_eval(b, fa, fb) else 0
                     elif k == 35:       # LOAD_ABS
                         cyc += self._dacc(b, pc, False)
                         regs[a] = read_word(b)
@@ -887,7 +887,8 @@ def _prep_straight(op, insn):
     if op == Op.TEST_RI:
         return (_K_TEST_RI, r[0], insn.imm, 0, 0)
     if op == Op.SETCC:
-        return (_K_SETCC, r[0], insn.imm, 0, 0)
+        # Resolved once per trace, not per execution.
+        return (_K_SETCC, r[0], int(CondCode(insn.imm)), 0, 0)
     if op == Op.LOAD_ABS:
         return (_K_LOAD_ABS, r[0], insn.addr, 0, 0)
     if op == Op.STORE_ABS:

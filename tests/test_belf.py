@@ -181,6 +181,17 @@ def test_line_table_rebase():
     assert len(moved) == 1
 
 
+@given(rows=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 9)),
+                    max_size=30),
+       probes=st.lists(st.integers(-10, 450), max_size=60))
+def test_line_table_lookup_ascending_matches_lookup(rows, probes):
+    table = LineTable()
+    for addr, line in rows:
+        table.add(addr, "f.bc", line)
+    probes.sort()
+    assert table.lookup_ascending(probes) == [table.lookup(a) for a in probes]
+
+
 def test_line_table_empty_lookup():
     assert LineTable().lookup(5) is None
     table = LineTable()

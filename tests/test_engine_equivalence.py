@@ -74,7 +74,10 @@ def assemble(insns):
 
 
 def make_exe(insns):
-    code = assemble(list(insns))
+    return exe_from_code(assemble(list(insns)))
+
+
+def exe_from_code(code):
     binary = Binary(kind="exec", name="asm")
     binary.add_section(Section(
         ".text", flags=SectionFlag.ALLOC | SectionFlag.EXEC, addr=BASE,
@@ -387,6 +390,28 @@ def test_fresh_decode_after_patch_faults_identically():
     ref = _outcome(exe, "ref")
     blk = _outcome(exe, "block")
     assert ref["error"] is not None
+    assert blk == ref
+
+
+def test_setcc_condition_out_of_range_faults_at_fetch():
+    """SETCC bytes naming a condition code past ``CondCode``: the decoder
+    rejects them, so both engines fault at fetch with the decoder's
+    message and identical counters (no mid-trace ``ValueError``)."""
+    head = assemble([
+        I(Op.MOV_RI32, RAX, imm=3),
+        I(Op.CMP_RI, RAX, imm=3),
+        I(Op.SETCC, RBX, imm=int(CondCode.EQ)),
+        I(Op.OUT, RBX),
+    ])
+    bad_pc = BASE + len(head)
+    exe = exe_from_code(head + bytes([int(Op.SETCC), RBX, 12])
+                        + encode(I(Op.RET), bad_pc + 3))
+    ref = _outcome(exe, "ref")
+    blk = _outcome(exe, "block")
+    assert ref["error"] == (
+        "MachineFault", f"invalid SETCC condition code 12 at {bad_pc:#x}")
+    assert ref["output"] == [1]
+    assert ref["counters"]["instructions"] == 4
     assert blk == ref
 
 

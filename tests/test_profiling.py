@@ -166,6 +166,16 @@ def test_address_mapper(exe):
     assert mapper.map(0x10) is None
 
 
+def test_address_mapper_memo_answers_like_fresh_lookups(exe):
+    text = exe.get_section(".text")
+    addrs = list(range(text.addr - 4, text.end + 4, 3)) * 2
+    mapper = AddressMapper(exe)
+    memoized = [mapper.map(a) for a in addrs]
+    assert memoized == [AddressMapper(exe).map(a) for a in addrs]
+    assert any(loc is None for loc in memoized)
+    assert any(loc is not None for loc in memoized)
+
+
 def test_aggregate_drops_unmapped(exe):
     mapper = AddressMapper(exe)
     main = exe.get_symbol("main")
