@@ -4,7 +4,8 @@ A standalone subsystem layered on the CFG/dataflow core:
 
 * :mod:`repro.analysis.absint` — generic worklist abstract
   interpretation (forward/backward, lattice joins, per-block transfer
-  functions).
+  functions); the one fixpoint engine, which also runs
+  :mod:`repro.core.dataflow`'s liveness and dominators.
 * :mod:`repro.analysis.checkers` — IR-level checkers (stack height,
   callee-saved preservation, flags use-before-def, unreachable code,
   fall-through layout, jump-table soundness).

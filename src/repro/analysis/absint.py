@@ -1,9 +1,10 @@
 """Generic abstract-interpretation engine over reconstructed CFGs.
 
-A thin, classic worklist solver layered on the same CFG shape
-``core/dataflow.py`` analyses consume: join-semilattice state, one
-transfer function per block, forward or backward propagation, fixpoint
-by monotone iteration.  The concrete analyses in
+A thin, classic worklist solver over reconstructed CFGs: join-
+semilattice state, one transfer function per block, forward or backward
+propagation, fixpoint by monotone iteration.  It is the repository's one
+fixpoint engine: ``core/dataflow.py``'s liveness and dominators run on
+it as well as the lint checkers.  The concrete analyses in
 :mod:`repro.analysis.checkers` are deliberately *flat* (constant
 propagation over a handful of facts), so the checkers only report
 violations they can prove on every path — ``TOP`` (conflicting or
@@ -131,29 +132,24 @@ class BlockResult:
         self.edge_states = edge_states or {}
 
 
-def flat_join(a, b):
-    """Module-level flat join for transfer functions tracking locals."""
-    if a is BOTTOM:
-        return b
-    if b is BOTTOM:
-        return a
-    if a is TOP or b is TOP:
-        return TOP
-    return a if a == b else TOP
-
-
-def solve(func, lattice, transfer, direction="forward", boundary=None,
-          include_landing_pads=True, max_iterations=None):
+def solve(func, lattice, transfer, direction="forward", boundary=None):
     """Run ``transfer`` to fixpoint; returns (in_states, out_states).
 
     ``transfer(block, state)`` maps the state at block entry (forward)
     or block exit (backward) across the block; it may return a plain
     state or a :class:`BlockResult`.  ``boundary`` seeds the entry
-    block (forward) or every exit block (backward).
+    block (forward) or every exit block (backward).  Edges follow
+    successors and landing pads; labels missing from ``func.blocks``
+    are ignored.
 
-    Raises :class:`AnalysisError` if the iteration count exceeds
-    ``max_iterations`` (default ``64 * len(blocks)``) — only possible
-    for non-monotone transfer functions or unbounded-height lattices.
+    A forward solve starts from the entry alone, so an unreached block
+    keeps the bottom state.  A backward solve starts from every block:
+    a loop with no path to an exit still contributes its own effects
+    (liveness of a register used inside an endless loop).
+
+    Raises :class:`AnalysisError` after ``64 * len(blocks)`` block
+    visits — only possible for non-monotone transfer functions or
+    unbounded-height lattices.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"bad direction {direction!r}")
@@ -166,8 +162,7 @@ def solve(func, lattice, transfer, direction="forward", boundary=None,
     edges_out = {}   # label -> [successor labels] in propagation direction
     for label, block in func.blocks.items():
         succs = list(block.successors)
-        if include_landing_pads:
-            succs += [lp for lp in block.landing_pads if lp not in succs]
+        succs += [lp for lp in block.landing_pads if lp not in succs]
         edges_out[label] = [s for s in succs if s in func.blocks]
     if direction == "backward":
         reversed_edges = {label: [] for label in labels}
@@ -190,12 +185,16 @@ def solve(func, lattice, transfer, direction="forward", boundary=None,
     # Per-edge contributions (landing-pad edges carry call-site states).
     edge_states = {}
 
-    worklist = collections.deque(roots)
-    queued = set(roots)
     for label in roots:
         in_states[label] = boundary
+    if direction == "backward":
+        # Last block first: layout order mostly ends at the exits.
+        worklist = collections.deque(reversed(labels))
+    else:
+        worklist = collections.deque(roots)
+    queued = set(worklist)
 
-    limit = max_iterations if max_iterations is not None else 64 * len(labels)
+    limit = 64 * len(labels)
     steps = 0
     while worklist:
         steps += 1

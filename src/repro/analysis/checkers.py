@@ -26,11 +26,17 @@ from repro.analysis.absint import (
     solve,
 )
 from repro.analysis.rules import Finding
-from repro.core.dataflow import FLAGS, def_operands
+from repro.core.dataflow import (
+    _USE_DEF,
+    FLAGS,
+    def_operands,
+    rbp_escapes,
+    reachable_from,
+)
 from repro.core.emitter import COLD_SUFFIX
 from repro.core.validate import ValidationError, validate_function
 from repro.isa import Op, RBP, RSP
-from repro.isa.instruction import BRANCH_OPS
+from repro.isa.instruction import BRANCH_OPS, CALL_OPS, RETURN_OPS
 from repro.isa.registers import reg_name
 
 
@@ -80,18 +86,7 @@ def _check_unreachable(func):
     """BL004: blocks unreachable from the entry."""
     if func.entry_label not in func.blocks:
         return []
-    # Tolerant traversal: a dangling successor is BL007's finding, not
-    # a reason to crash this checker.
-    reachable = set()
-    stack = [func.entry_label]
-    while stack:
-        label = stack.pop()
-        if label in reachable or label not in func.blocks:
-            continue
-        reachable.add(label)
-        node = func.blocks[label]
-        stack.extend(node.successors)
-        stack.extend(node.landing_pads)
+    reachable = reachable_from(func, func.entry_label)
     return [
         Finding("BL004", f"block {label} is unreachable from the entry",
                 function=func.name, block=label)
@@ -251,16 +246,16 @@ _SAVE, _RESTORE, _SLOT_LOST, _DIRTIED = range(4)
 # BL003: flag uses, defs and call clobbers.
 _F_USE, _F_DEF, _F_UNDEF = 1, 2, 3
 
-_FLAG_DEFS = frozenset({Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI})
-_FLAG_USES = frozenset({Op.JCC_SHORT, Op.JCC_LONG, Op.SETCC})
-_CALLS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
-_RETURNS = frozenset({Op.RET, Op.REPZ_RET})
+# Read off the use/def table: a call's flag def is a clobber, not a def.
+_FLAG_DEFS = frozenset(op for op, (_, _, _, defs) in _USE_DEF.items()
+                       if FLAGS in defs) - CALL_OPS
+_FLAG_USES = frozenset(op for op, (_, _, uses, _) in _USE_DEF.items()
+                       if FLAGS in uses)
 _STACK_OPS = frozenset({Op.PUSH, Op.POP, Op.SUB_RI, Op.ADD_RI, Op.MOV_RR})
-_INDEXED = frozenset({Op.LOADIDX, Op.STOREIDX})
 _OTHER_STORES = frozenset({Op.STOREIDX, Op.STORE_ABS})
 # Enum attribute lookups are slow; the walk compares against these.
 _PUSH, _POP, _SUB_RI, _MOV_RR = Op.PUSH, Op.POP, Op.SUB_RI, Op.MOV_RR
-_LOAD, _STORE, _LEA = Op.LOAD, Op.STORE, Op.LEA
+_LOAD, _STORE = Op.LOAD, Op.STORE
 
 
 class _Summary:
@@ -297,8 +292,8 @@ def _summarize(func):
             def_pos, defined = def_operands(op)
             if def_pos:
                 defined = [regs[i] for i in def_pos] + [*defined]
-            is_call = op in _CALLS
-            is_return = op in _RETURNS
+            is_call = op in CALL_OPS
+            is_return = op in RETURN_OPS
             ann = insn.annotations
             # Only a branch or a "tailcall"-annotated instruction can be
             # a tail call.
@@ -356,13 +351,7 @@ def _summarize(func):
                         effects = tuple(actions.items())
                 if effects:
                     kept.append((_C_EFFECT, effects, insn))
-                # rbp copied where slot tracking cannot follow it.
-                if op == _LEA and regs[1] == RBP:
-                    escapes = True
-                elif op == _MOV_RR and regs[1] == RBP and regs[0] != RSP:
-                    escapes = True
-                elif op in _INDEXED and RBP in regs[1:]:
-                    escapes = True
+                escapes = escapes or rbp_escapes(op, regs)
 
             # BL003: uses are checked before the step.
             if op in _FLAG_USES:
@@ -371,8 +360,6 @@ def _summarize(func):
                 flags.append((_F_DEF, None, insn))
             elif is_call:
                 flags.append((_F_UNDEF, None, insn))  # calls clobber flags
-            elif FLAGS in defined:
-                flags.append((_F_DEF, None, insn))
             if unwind is not None:
                 flags.append(unwind)  # unwinding sees the call's clobber
         summary.stack[label] = stack

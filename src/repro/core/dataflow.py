@@ -5,7 +5,10 @@ given program point, a technique also used by Ispike").
 
 Provides register use/def tables for BX86, backward liveness over
 reconstructed CFGs, dominator computation, and stack-slot access
-summaries used by frame-opts and shrink-wrapping.
+summaries used by frame-opts and shrink-wrapping.  Liveness and
+dominators run on :func:`repro.analysis.absint.solve`, the lint
+checkers' solver; it is imported inside them because ``repro.analysis``
+imports this module.
 """
 
 from repro.isa import RBP, RSP, RAX
@@ -139,81 +142,101 @@ def block_uses_defs(block):
 def liveness(func):
     """Backward liveness; returns (live_in, live_out) per block label.
 
-    Exit blocks (returns, tail calls) are assumed to have rax + the
-    callee-saved registers live out (conservative ABI boundary).
+    Exit blocks (returns, tail calls, blocks without successors) are
+    assumed to have rax + the callee-saved registers live out
+    (conservative ABI boundary).
     """
+    from repro.analysis.absint import SetLattice, solve
     from repro.isa.registers import CALLEE_SAVED
 
-    exit_live = set(CALLEE_SAVED) | {RAX, RSP, RBP}
-    gen = {}
-    kill = {}
-    succs = {}
+    exit_live = frozenset(CALLEE_SAVED) | {RAX, RSP, RBP}
+    gen_kill = {}
+    exits = set()
     for label, block in func.blocks.items():
-        gen[label], kill[label] = block_uses_defs(block)
-        succs[label] = list(block.successors) + list(block.landing_pads)
+        gen, kill = block_uses_defs(block)
+        gen_kill[label] = frozenset(gen), kill
+        term = block.terminator()
+        if term is not None and (term.is_return
+                                 or term.get_annotation("tailcall", "!") != "!"):
+            exits.add(label)
 
-    live_in = {label: set() for label in func.blocks}
-    live_out = {label: set() for label in func.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for label in reversed(list(func.blocks)):
-            out = set()
-            if not succs[label]:
-                out = set(exit_live)
-            for succ in succs[label]:
-                out |= live_in.get(succ, set())
-            term = func.blocks[label].terminator()
-            if term is not None and (term.is_return
-                                     or term.get_annotation("tailcall", "!") != "!"):
-                out |= exit_live
-            new_in = gen[label] | (out - kill[label])
-            if out != live_out[label] or new_in != live_in[label]:
-                live_out[label] = out
-                live_in[label] = new_in
-                changed = True
+    def transfer(block, out):
+        if block.label in exits:
+            out = out | exit_live
+        gen, kill = gen_kill[block.label]
+        return gen | (out - kill)
+
+    live_out, live_in = solve(func, SetLattice(), transfer,
+                              direction="backward", boundary=exit_live)
+    for label in exits:
+        live_out[label] = live_out[label] | exit_live
     return live_in, live_out
 
 
+class _Dominance:
+    """Dominator sets as an ``absint.solve`` lattice: ``None`` (bottom)
+    is "not reached yet", and reached sets join by intersection."""
+
+    def bottom(self):
+        return None
+
+    def join(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return a & b
+
+
 def dominators(func):
-    """Iterative dominator sets: label -> set of dominating labels."""
-    labels = list(func.blocks)
-    preds = func.predecessors()
-    entry = func.entry_label
-    dom = {label: set(labels) for label in labels}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for label in labels:
-            if label == entry:
-                continue
-            plist = preds[label]
-            if plist:
-                new = set.intersection(*(dom[p] for p in plist)) | {label}
-            else:
-                # Unreachable block: keep the full set so it never
-                # constrains the intersection at blocks it branches to.
-                new = dom[label]
-            if new != dom[label]:
-                dom[label] = new
-                changed = True
-    return dom
+    """Dominator sets: label -> set of dominating labels.
+
+    A block unreachable from the entry maps to every label, so it never
+    constrains the blocks it branches to.
+    """
+    from repro.analysis.absint import solve
+
+    _, dom = solve(func, _Dominance(),
+                   lambda block, state: state | {block.label},
+                   boundary=frozenset())
+    every = frozenset(func.blocks)
+    return {label: every if state is None else state
+            for label, state in dom.items()}
 
 
 def reachable_from(func, start):
-    """Labels reachable from ``start`` (following CFG + landing pads)."""
+    """Labels reachable from ``start`` (following CFG + landing pads).
+
+    Labels missing from ``func.blocks`` are skipped: a dangling edge is
+    ``validate_function``'s finding, not a reason to crash a walk.
+    """
+    blocks = func.blocks
     seen = set()
     stack = [start]
     while stack:
         label = stack.pop()
-        if label in seen:
+        if label in seen or label not in blocks:
             continue
         seen.add(label)
-        block = func.blocks[label]
+        block = blocks[label]
         stack.extend(block.successors)
         stack.extend(block.landing_pads)
     return seen
+
+
+_LEA, _MOV_RR = Op.LEA, Op.MOV_RR
+_INDEXED = frozenset({Op.LOADIDX, Op.STOREIDX})
+
+
+def rbp_escapes(op, regs):
+    """Whether an instruction copies rbp where rbp-relative slot
+    tracking cannot follow it: into another register (``mov rsp, rbp``
+    is the epilogue, not an escape) or into an indexed address."""
+    if op == _LEA:
+        return regs[1] == RBP
+    if op == _MOV_RR:
+        return regs[1] == RBP and regs[0] != RSP
+    return op in _INDEXED and RBP in regs[1:]
 
 
 def stack_slot_accesses(func):
@@ -221,22 +244,18 @@ def stack_slot_accesses(func):
 
     Returns (loads, stores, rbp_escapes): sets of disp values read and
     written through rbp, and whether rbp's value flows anywhere we
-    cannot track (copied to another register) — in which case slot
-    analysis must be abandoned.
+    cannot track (:func:`rbp_escapes`) — in which case slot analysis
+    must be abandoned.
     """
     loads, stores = set(), set()
     escapes = False
     for block in func.blocks.values():
         for insn in block.insns:
-            op = insn.op
-            if op == Op.LOAD and insn.regs[1] == RBP:
+            op, regs = insn.op, insn.regs
+            if op == Op.LOAD and regs[1] == RBP:
                 loads.add(insn.disp)
-            elif op == Op.STORE and insn.regs[0] == RBP:
+            elif op == Op.STORE and regs[0] == RBP:
                 stores.add(insn.disp)
-            elif op == Op.LEA and insn.regs[1] == RBP:
-                escapes = True
-            elif op == Op.MOV_RR and insn.regs[1] == RBP and insn.regs[0] != RSP:
-                escapes = True
-            elif op in (Op.LOADIDX, Op.STOREIDX) and RBP in insn.regs[1:]:
+            elif rbp_escapes(op, regs):
                 escapes = True
     return loads, stores, escapes

@@ -1,6 +1,7 @@
 """AST -> IR lowering."""
 
 from repro.ir.ir import IRInst, IRFunction, IRModule, Imm, CMP_OPS
+from repro.ir.passes import remove_unreachable_blocks
 from repro.lang import astnodes as ast
 from repro.lang.sema import check_module
 
@@ -406,26 +407,8 @@ def build_function(module_ir, info, func_ast):
     for block in func.blocks.values():
         if block.terminator is None:
             block.terminator = IRInst("ret")
-    _remove_unreachable(func)
+    remove_unreachable_blocks(func)
     return func
-
-
-def _remove_unreachable(func):
-    reachable = set()
-    stack = [func.entry]
-    while stack:
-        name = stack.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        block = func.blocks[name]
-        stack.extend(block.successors())
-        for inst in block.insts:
-            if inst.lp is not None:
-                stack.append(inst.lp)
-    for name in list(func.blocks):
-        if name not in reachable:
-            func.remove_block(name)
 
 
 def build_module(module_ast, info=None):

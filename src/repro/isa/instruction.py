@@ -59,12 +59,14 @@ class SymRef:
 
 _UNCOND_BRANCHES = frozenset({Op.JMP_SHORT, Op.JMP_NEAR})
 _COND_BRANCHES = frozenset({Op.JCC_SHORT, Op.JCC_LONG})
-_CALLS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
-_RETURNS = frozenset({Op.RET, Op.REPZ_RET})
+#: Calls, direct or indirect (``Instruction.is_call``).
+CALL_OPS = frozenset({Op.CALL, Op.CALL_REG, Op.CALL_MEM})
+#: Returns (``Instruction.is_return``).
+RETURN_OPS = frozenset({Op.RET, Op.REPZ_RET})
 _INDIRECT = frozenset({Op.CALL_REG, Op.CALL_MEM, Op.JMP_REG, Op.JMP_MEM})
 _NOPS = frozenset({Op.NOP, Op.NOPN})
 #: Opcodes after which control cannot fall through.
-TERMINATOR_OPS = _UNCOND_BRANCHES | _RETURNS | frozenset(
+TERMINATOR_OPS = _UNCOND_BRANCHES | RETURN_OPS | frozenset(
     {Op.JMP_REG, Op.JMP_MEM, Op.HALT, Op.TRAP})
 #: Direct branches, conditional or not (``Instruction.is_branch``).
 BRANCH_OPS = _UNCOND_BRANCHES | _COND_BRANCHES
@@ -160,11 +162,11 @@ class Instruction:
 
     @property
     def is_call(self):
-        return self.op in _CALLS
+        return self.op in CALL_OPS
 
     @property
     def is_return(self):
-        return self.op in _RETURNS
+        return self.op in RETURN_OPS
 
     @property
     def is_indirect(self):

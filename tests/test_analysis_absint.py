@@ -141,14 +141,6 @@ def test_landing_pad_edge_states():
     assert in_states["b2"] == "normal"
 
 
-def test_landing_pads_excluded_when_disabled():
-    func = make_func(2, [])
-    func.blocks["b0"].landing_pads.append("b1")
-    in_states, _ = solve(func, FlatLattice(), lambda b, s: s,
-                         boundary=1, include_landing_pads=False)
-    assert in_states["b1"] is BOTTOM
-
-
 def test_non_monotone_transfer_raises():
     class Unbounded:
         def bottom(self):

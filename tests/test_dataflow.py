@@ -1,7 +1,7 @@
 """Dataflow framework tests: use/def tables, liveness, dominators,
-stack-slot analysis."""
+reachability, stack-slot analysis."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BinaryContext, BoltOptions
@@ -17,7 +17,8 @@ from repro.core.dataflow import (
     stack_slot_accesses,
 )
 from repro.ir import InlinePolicy
-from repro.isa import Instruction, Op, RAX, RBP, RBX, RCX, RSP
+from repro.isa import Instruction, Op, RAX, RBP, RBX, RCX, RDI, RSP, SymRef
+from repro.isa.registers import CALLEE_SAVED
 
 
 def test_uses_defs_table_consistency():
@@ -122,6 +123,16 @@ def test_reachability_includes_landing_pads():
         func.add_block(BinaryBasicBlock(label))
     func.blocks["e"].landing_pads.append("lp")
     assert reachable_from(func, "e") == {"e", "lp"}
+
+
+def test_reachability_skips_dangling_successor():
+    func = BinaryFunction("d", 0, 10)
+    for label in ("e", "a"):
+        func.add_block(BinaryBasicBlock(label))
+    func.blocks["e"].set_edge("a")
+    func.blocks["a"].set_edge("gone")
+    func.blocks["a"].landing_pads.append("also-gone")
+    assert reachable_from(func, "e") == {"e", "a"}
 
 
 def test_stack_slot_analysis():
@@ -244,3 +255,126 @@ def test_every_opcode_is_modeled():
         insn.op = op
         insn.regs = tuple(range(nregs))
         insn_uses_defs(insn)  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# Properties against the definitions, on random small CFGs
+# ---------------------------------------------------------------------------
+
+_G = SymRef("g", "branch")
+_INSNS = [
+    Instruction(Op.MOV_RR, (RAX, RBX)),
+    Instruction(Op.MOV_RR, (RCX, RDI)),
+    Instruction(Op.ADD_RR, (RBX, RCX)),
+    Instruction(Op.MOV_RI32, (RBX,), imm=1),
+    Instruction(Op.CMP_RR, (RAX, RCX)),
+    Instruction(Op.SETCC, (RDI,), imm=0),
+    Instruction(Op.CALL, sym=_G),
+    Instruction(Op.RET),
+    Instruction(Op.JMP_NEAR, sym=_G).with_annotation("tailcall", "g"),
+]
+
+# Edges and landing pads are arbitrary, so the graphs include
+# unreachable blocks, self loops and cycles no exit is reachable from.
+cfgs = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=10),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=3),
+    st.lists(st.lists(st.sampled_from(_INSNS), max_size=4),
+             min_size=n, max_size=n),
+))
+
+
+def _make_cfg(cfg):
+    edges, pads, bodies = cfg
+    func = BinaryFunction("p", 0, 10)
+    for i, insns in enumerate(bodies):
+        func.add_block(BinaryBasicBlock(f"b{i}")).insns = list(insns)
+    for a, b in edges:
+        func.blocks[f"b{a}"].set_edge(f"b{b}")
+    for a, b in pads:
+        if f"b{b}" not in func.blocks[f"b{a}"].landing_pads:
+            func.blocks[f"b{a}"].landing_pads.append(f"b{b}")
+            func.blocks[f"b{b}"].is_landing_pad = True
+    return func
+
+
+def _succs(block):
+    return block.successors + block.landing_pads
+
+
+def _reach(func, removed=None):
+    seen = set()
+    stack = [func.entry_label]
+    while stack:
+        label = stack.pop()
+        if label not in seen and label != removed:
+            seen.add(label)
+            stack.extend(_succs(func.blocks[label]))
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfgs)
+def test_prop_dominators_match_definition(cfg):
+    """d dominates a reachable n exactly when removing d cuts n off
+    from the entry; an unreachable block gets every label."""
+    func = _make_cfg(cfg)
+    dom = dominators(func)
+    reachable = _reach(func)
+    assert set(dom) == set(func.blocks)
+    for n in func.blocks:
+        if n not in reachable:
+            assert dom[n] == set(func.blocks)
+        else:
+            assert dom[n] == {d for d in func.blocks
+                              if n not in _reach(func, removed=d)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfgs)
+def test_prop_liveness_matches_per_register_search(cfg):
+    """A register is live into a block exactly when some path from the
+    block's top reaches a use of it, or the end of an exit block with
+    the register in the ABI exit set, before any def of it."""
+    func = _make_cfg(cfg)
+    live_in, live_out = liveness(func)
+
+    exit_live = set(CALLEE_SAVED) | {RAX, RSP, RBP}
+    preds = {label: [] for label in func.blocks}
+    for label, block in func.blocks.items():
+        for succ in _succs(block):
+            preds[succ].append(label)
+    exits = set()
+    for label, block in func.blocks.items():
+        last = block.insns[-1] if block.insns else None
+        if not _succs(block) or (last is not None and (
+                last.is_return or last.get_annotation("tailcall"))):
+            exits.add(label)
+
+    for reg in range(FLAGS + 1):
+        first = {}   # label -> "use", "def" or None: reg's first event
+        for label, block in func.blocks.items():
+            first[label] = None
+            for insn in block.insns:
+                uses, defs = insn_uses_defs(insn)
+                if reg in uses or reg in defs:
+                    first[label] = "use" if reg in uses else "def"
+                    break
+        ends_live = exits if reg in exit_live else set()
+        live_top = {label for label in func.blocks
+                    if first[label] == "use"
+                    or (first[label] is None and label in ends_live)}
+        stack = list(live_top)
+        while stack:
+            for pred in preds[stack.pop()]:
+                if pred not in live_top and first[pred] is None:
+                    live_top.add(pred)
+                    stack.append(pred)
+        for label, block in func.blocks.items():
+            assert (reg in live_in[label]) == (label in live_top), \
+                (reg, label)
+            out = label in ends_live or any(
+                succ in live_top for succ in _succs(block))
+            assert (reg in live_out[label]) == out, (reg, label)
