@@ -16,61 +16,58 @@ def _wrap(value):
     return value - (1 << 64) if value >= 1 << 63 else value
 
 
+def _divide(a, b):
+    quotient = abs(a) // abs(b)
+    return _wrap(-quotient if (a < 0) != (b < 0) else quotient)
+
+
+def _remainder(a, b):
+    quotient = abs(a) // abs(b)
+    quotient = -quotient if (a < 0) != (b < 0) else quotient
+    return _wrap(a - _wrap(quotient * b))
+
+
+#: BC's binary operators with 64-bit wrapping semantics, shared by
+#: constant folding and the BC interpreter.  ``/`` and ``%`` truncate
+#: toward zero and need a nonzero divisor; ``u``-prefixed comparisons
+#: (IR only) compare the unsigned view.
+BINARY_OPS = {
+    "+": lambda a, b: _wrap(a + b),
+    "-": lambda a, b: _wrap(a - b),
+    "*": lambda a, b: _wrap(a * b),
+    "/": _divide,
+    "%": _remainder,
+    "&": lambda a, b: _wrap(a & b),
+    "|": lambda a, b: _wrap(a | b),
+    "^": lambda a, b: _wrap(a ^ b),
+    "<<": lambda a, b: _wrap(a << (b & 63)),
+    # BC's >> is an arithmetic (sign-preserving) shift.
+    ">>": lambda a, b: _wrap(a >> (b & 63)),
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "u<": lambda a, b: 1 if (a & _MASK) < (b & _MASK) else 0,
+    "u<=": lambda a, b: 1 if (a & _MASK) <= (b & _MASK) else 0,
+    "u>": lambda a, b: 1 if (a & _MASK) > (b & _MASK) else 0,
+    "u>=": lambda a, b: 1 if (a & _MASK) >= (b & _MASK) else 0,
+}
+
+
 def eval_binop(oper, a, b):
     """Constant-fold a binary operation with 64-bit wrapping semantics.
 
     Returns None when the result is not defined (division by zero) —
     the instruction must be kept so the trap happens at run time.
     """
-    if oper == "+":
-        return _wrap(a + b)
-    if oper == "-":
-        return _wrap(a - b)
-    if oper == "*":
-        return _wrap(a * b)
-    if oper == "/":
-        if b == 0:
-            return None
-        quotient = abs(a) // abs(b)
-        return _wrap(-quotient if (a < 0) != (b < 0) else quotient)
-    if oper == "%":
-        if b == 0:
-            return None
-        quotient = abs(a) // abs(b)
-        quotient = -quotient if (a < 0) != (b < 0) else quotient
-        return _wrap(a - _wrap(quotient * b))
-    if oper == "&":
-        return _wrap(a & b)
-    if oper == "|":
-        return _wrap(a | b)
-    if oper == "^":
-        return _wrap(a ^ b)
-    if oper == "<<":
-        return _wrap(a << (b & 63))
-    if oper == ">>":
-        # BC's >> is an arithmetic (sign-preserving) shift.
-        return _wrap(a >> (b & 63))
-    if oper == "==":
-        return 1 if a == b else 0
-    if oper == "!=":
-        return 1 if a != b else 0
-    if oper == "<":
-        return 1 if a < b else 0
-    if oper == "<=":
-        return 1 if a <= b else 0
-    if oper == ">":
-        return 1 if a > b else 0
-    if oper == ">=":
-        return 1 if a >= b else 0
-    if oper == "u<":
-        return 1 if (a & _MASK) < (b & _MASK) else 0
-    if oper == "u<=":
-        return 1 if (a & _MASK) <= (b & _MASK) else 0
-    if oper == "u>":
-        return 1 if (a & _MASK) > (b & _MASK) else 0
-    if oper == "u>=":
-        return 1 if (a & _MASK) >= (b & _MASK) else 0
-    raise ValueError(f"unknown operator {oper}")
+    if b == 0 and oper in ("/", "%"):
+        return None
+    apply = BINARY_OPS.get(oper)
+    if apply is None:
+        raise ValueError(f"unknown operator {oper}")
+    return apply(a, b)
 
 
 # -- local constant/copy propagation ------------------------------------------
@@ -101,11 +98,15 @@ def _propagate_block(block):
 
     new_insts = []
     for inst in block.insts:
-        before = repr(inst)
-        inst.a = resolve(inst.a)
-        inst.b = resolve(inst.b)
-        if inst.args:
-            inst.args = [resolve(arg) for arg in inst.args]
+        original, a, b, args = inst, inst.a, inst.b, inst.args
+        inst.a = resolve(a)
+        inst.b = resolve(b)
+        if args:
+            inst.args = [resolve(arg) for arg in args]
+        # Resolving can return an equal operand (a copy cycle); only a
+        # different value, or a replaced instruction, is a change.
+        if inst.a != a or inst.b != b or inst.args != args:
+            changed = True
 
         if inst.kind == "binop" and isinstance(inst.a, Imm) and isinstance(inst.b, Imm):
             folded = eval_binop(inst.oper, inst.a.value, inst.b.value)
@@ -130,7 +131,7 @@ def _propagate_block(block):
                 continue  # self-move
             else:
                 copies[inst.dst] = inst.a
-        if repr(inst) != before:
+        if inst is not original:
             changed = True
         new_insts.append(inst)
 

@@ -179,6 +179,10 @@ class Machine:
         sym = self.binary.get_symbol(link_name)
         if sym is None:
             raise KeyError(f"no symbol {link_name}")
+        length = sym.size // 8
+        if sym.size and len(values) > length:
+            raise ValueError(f"input for array {link_name} has {len(values)} "
+                             f"values but the array holds {length}")
         if values:
             self.code_write_check(sym.value, 8 * len(values))
         for i, value in enumerate(values):

@@ -393,3 +393,40 @@ func main() {
   return 0;
 }
 """)
+
+
+# -- input arrays ---------------------------------------------------------------
+
+_INPUT_PROGRAM = """
+array a[4];
+array b[4] = {7, 8, 9, 10};
+func main() { out a[0] + a[3]; out b[0]; out b[1]; return 0; }
+"""
+
+
+def test_input_of_exact_array_size_accepted_on_both_paths():
+    values = [1, 2, 3, 4]
+    interp = Interpreter([parse_module(_INPUT_PROGRAM, "t")])
+    interp.set_array("t", "a", values)
+    interp.run("main")
+    exe, _ = build_executable([("t", _INPUT_PROGRAM)])
+    cpu = run_binary(exe, inputs={"t::a": values})
+    assert interp.output == cpu.output == [5, 7, 8]
+
+
+def test_oversized_input_rejected_on_both_paths():
+    """An input longer than its array is refused, not written past the
+    array's end, with one message on both paths."""
+    values = [1, 2, 3, 4, 5, 6]
+    message = "input for array t::a has 6 values but the array holds 4"
+    interp = Interpreter([parse_module(_INPUT_PROGRAM, "t")])
+    with pytest.raises(ValueError) as interp_error:
+        interp.set_array("t", "a", values)
+    exe, _ = build_executable([("t", _INPUT_PROGRAM)])
+    with pytest.raises(ValueError) as machine_error:
+        run_binary(exe, inputs={"t::a": values})
+    assert str(interp_error.value) == str(machine_error.value) == message
+    # Nothing was written: a shorter input still runs as before.
+    interp.set_array("t", "a", [1])
+    interp.run("main")
+    assert interp.output == [1, 7, 8]

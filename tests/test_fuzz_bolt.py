@@ -16,7 +16,8 @@ from repro.harness import build_workload, measure, run_bolt, sample_profile
 from repro.lang import parse_module
 from repro.lang.interp import Interpreter
 from repro.profiling import SamplingConfig
-from repro.workloads import WorkloadSpec, generate_workload
+from repro.workloads import generate_workload
+from tests.strategies import workload_specs
 
 
 def reference(workload):
@@ -28,32 +29,10 @@ def reference(workload):
     return interp.output
 
 
-@st.composite
-def _spec(draw):
-    return WorkloadSpec(
-        "fuzz",
-        seed=draw(st.integers(0, 10_000)),
-        modules=draw(st.integers(1, 3)),
-        workers_per_module=draw(st.integers(2, 5)),
-        leaves_per_module=draw(st.integers(1, 3)),
-        iterations=draw(st.integers(20, 60)),
-        hot_entries=draw(st.integers(1, 2)),
-        switch_funcs_per_module=draw(st.integers(0, 2)),
-        fptr_funcs_per_module=draw(st.integers(0, 1)),
-        itail_funcs_per_module=draw(st.integers(0, 1)),
-        eh_funcs_per_module=draw(st.integers(0, 1)),
-        dup_leaf_groups=draw(st.integers(0, 2)),
-        asm_module=draw(st.booleans()),
-        cold_modulus=draw(st.sampled_from((17, 41, 101))),
-        use_runtime_lib=draw(st.booleans()),
-        input_kind=draw(st.sampled_from(("uniform", "skewed", "bursty"))),
-    )
-
-
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(spec=_spec())
+@given(spec=workload_specs())
 def test_fuzz_full_pipeline(spec):
     workload = generate_workload(spec)
     expected = reference(workload)
@@ -74,7 +53,7 @@ def test_fuzz_full_pipeline(spec):
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(spec=_spec(), seed2=st.integers(0, 3))
+@given(spec=workload_specs(), seed2=st.integers(0, 3))
 def test_fuzz_inplace_and_nolbr(spec, seed2):
     workload = generate_workload(spec)
     expected = reference(workload)

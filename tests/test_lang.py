@@ -1,5 +1,8 @@
 """Front-end tests: lexer, parser, semantic checks, reference interpreter."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -502,3 +505,25 @@ func main() {
 }
 """)
     assert out == [20, 23]
+
+
+def test_interp_freed_without_garbage_collection():
+    """A recursive function's compiled closures form a cycle; they and
+    the Interpreter still go as soon as it is dropped."""
+    interp = Interpreter([parse_module(
+        "func f(n) { if (n) { return f(n - 1) + 1; } return 0; }"
+        " func main() { out f(5); return 0; }", "t")])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        interp.run("main")
+        assert interp.output == [5]
+        functions = list(interp._functions.values())
+        assert all(function.body is not None for function in functions)
+        alive = weakref.ref(interp)
+        del interp
+        assert alive() is None
+        assert all(function.body is None for function in functions)
+    finally:
+        if enabled:
+            gc.enable()
