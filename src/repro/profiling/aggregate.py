@@ -20,6 +20,9 @@ import json
 import os
 import pathlib
 import tempfile
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 from repro.belf import SymbolType
 from repro.profiling.events import Sampler, SamplingConfig
@@ -74,23 +77,33 @@ def aggregate_samples(samples, mapper, event="cycles", lbr=True,
                       build_id=None):
     """Aggregate (pc, lbr_snapshot) samples into a BinaryProfile.
 
+    Each snapshot is a list of ``(from_pc, to_pc, mispred)`` tuples.
     Branch records with either endpoint outside known functions (PLT
     stubs, builtins) are dropped, as perf2bolt does for unmapped
     addresses.
+
+    Raw sample pcs and LBR records are counted before symbolizing, so
+    each distinct address is mapped once per record kind, not once per
+    occurrence.  Counters keep first-seen order, so every profile record
+    lands where adding the samples one by one would have put it.
     """
     profile = BinaryProfile(event=event, lbr=lbr, build_id=build_id)
-    for pc, snapshot in samples:
-        loc = mapper.map(pc)
+    locate = mapper.map
+    for pc, count in Counter(map(itemgetter(0), samples)).items():
+        loc = locate(pc)
         if loc is not None:
-            profile.add_sample(loc)
-        if not lbr or not snapshot:
+            profile.add_sample(loc, count)
+    if not lbr:
+        return profile
+    records = Counter(chain.from_iterable(
+        snapshot for _, snapshot in samples if snapshot))
+    for (from_pc, to_pc, mispred), count in records.items():
+        from_loc = locate(from_pc)
+        to_loc = locate(to_pc)
+        if from_loc is None or to_loc is None:
             continue
-        for from_pc, to_pc, mispred in snapshot:
-            from_loc = mapper.map(from_pc)
-            to_loc = mapper.map(to_pc)
-            if from_loc is None or to_loc is None:
-                continue
-            profile.add_branch(from_loc, to_loc, mispred=mispred)
+        profile.add_branch(from_loc, to_loc, mispred=count * mispred,
+                           count=count)
     return profile
 
 

@@ -1,6 +1,24 @@
 """Microarchitecture configuration and cycle cost model."""
 
 
+def _cycles(name, value):
+    """A cycle count: a non-negative whole number (``1.0`` is 1)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value < 0
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"UarchConfig {name} must be a non-negative whole "
+                         f"number of cycles, got {value!r}")
+    return int(value)
+
+
+def _entries(name, value):
+    """A depth or entry count: an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"UarchConfig {name} must be an integer of at "
+                         f"least 1, got {value!r}")
+    return value
+
+
 class UarchConfig:
     """Sizes and penalties for the performance model.
 
@@ -9,6 +27,11 @@ class UarchConfig:
     front end the way 100+ MB binaries stress real 32 KiB L1I caches.
     Penalties are in cycles and roughly Ivy Bridge-shaped (the paper's
     evaluation machine).
+
+    Both engines count whole cycles, so ``base_cpi``, the penalties and
+    ``l2_hit_latency`` must be non-negative whole numbers (stored as
+    ints), and the TLB, BTB and return-stack sizes at least 1; anything
+    else raises ``ValueError`` naming the field.
     """
 
     def __init__(
@@ -47,18 +70,20 @@ class UarchConfig:
         self.llc_assoc = llc_assoc
         self.l2_size = l2_size
         self.l2_assoc = l2_assoc
-        self.l2_hit_latency = l2_hit_latency
+        self.l2_hit_latency = _cycles("l2_hit_latency", l2_hit_latency)
         self.prefetch_next_line = prefetch_next_line
         self.page_size = page_size
-        self.itlb_entries = itlb_entries
-        self.dtlb_entries = dtlb_entries
-        self.btb_entries = btb_entries
+        self.itlb_entries = _entries("itlb_entries", itlb_entries)
+        self.dtlb_entries = _entries("dtlb_entries", dtlb_entries)
+        self.btb_entries = _entries("btb_entries", btb_entries)
         self.bp_table_bits = bp_table_bits
         self.bp_kind = bp_kind
-        self.ras_depth = ras_depth
-        self.base_cpi = base_cpi
-        self.taken_branch_penalty = taken_branch_penalty
-        self.mispredict_penalty = mispredict_penalty
-        self.l1_miss_penalty = l1_miss_penalty
-        self.llc_miss_penalty = llc_miss_penalty
-        self.tlb_miss_penalty = tlb_miss_penalty
+        self.ras_depth = _entries("ras_depth", ras_depth)
+        self.base_cpi = _cycles("base_cpi", base_cpi)
+        self.taken_branch_penalty = _cycles("taken_branch_penalty",
+                                            taken_branch_penalty)
+        self.mispredict_penalty = _cycles("mispredict_penalty",
+                                          mispredict_penalty)
+        self.l1_miss_penalty = _cycles("l1_miss_penalty", l1_miss_penalty)
+        self.llc_miss_penalty = _cycles("llc_miss_penalty", llc_miss_penalty)
+        self.tlb_miss_penalty = _cycles("tlb_miss_penalty", tlb_miss_penalty)

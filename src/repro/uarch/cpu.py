@@ -3,7 +3,8 @@
 The pre-PR 5 per-instruction interpreter lives on verbatim in
 :mod:`repro.uarch._reference_cpu` (class :class:`ReferenceCPU`) as the
 equivalence oracle.  This module adds :class:`BlockCPU`, a bit-exact
-but several-times-faster engine built on three ideas:
+but several-times-faster engine.  Its ideas, each exact by
+construction:
 
 1. **Per-binary trace cache.**  Code is immutable after load, so
    straight-line instruction runs are pre-decoded once into traces
@@ -11,35 +12,56 @@ but several-times-faster engine built on three ideas:
    same :class:`~repro.belf.binary.Binary` (fleet shard collection
    decodes each binary once instead of once per host).  Each step is a
    flat tuple ``(kind, a, b, c, d, pc, fetch_events)`` with operands
-   pre-extracted — no per-instruction ``insn.regs[0]`` attribute
-   chases and no 60-arm opcode dispatch.
+   pre-extracted; the trace's terminator is its last step.
 
 2. **Block-hoisted fetch accounting.**  Within a straight-line trace
    the i-side access stream is consecutive addresses, so every L1I
    access to the same line as the previous ifetch is a guaranteed
-   MRU-fast-path hit (``ways[0] == tag``: no LRU state change), and
-   every ITLB access to the same page is a guaranteed ``_last`` hit.
-   Only the *events* — the first access of a trace and each line/page
-   change, computed at build time — need real ``access()`` calls (at
-   their exact position in the stream, preserving shared-LLC ordering
-   against data misses); the rest are flushed as batched counter
-   increments.  With ``prefetch_next_line`` enabled, prefetch installs
-   can disturb LRU state between ifetches, so every L1I access becomes
-   an event (the trace-cache key includes the flag).
+   MRU hit (``ways[0] == tag``: no LRU state change), and every ITLB
+   access to the same page is a guaranteed ``_last`` hit.  Only the
+   *events* -- the first access of a trace and each line/page change,
+   computed at build time -- are looked up, at their exact position in
+   the stream (preserving shared-LLC ordering against data misses).
+   With ``prefetch_next_line`` enabled, prefetch installs can disturb
+   LRU state between ifetches, so every L1I access becomes an event
+   (the trace-cache key includes the flag).
 
-3. **Write-to-exec-range invalidation.**  Every store is bounds-checked
+3. **Inline hit paths.**  An access that hits the L1I/L1D set's MRU
+   way or the TLB's ``_last`` page changes no model state, so the run
+   loop tests for those hits itself and only counts them; a TLB hit on
+   another page is the dict move ``TLB.access`` would make, also done
+   inline.  Every other access calls the unchanged ``access()`` in
+   stream order.  Counters and the caches' and TLBs' ``accesses`` are
+   kept in run-level locals and flushed on every exit from
+   :meth:`BlockCPU.run` (halt, fault, budget, a faulting builtin and
+   the code-dirty fallback); ``counters.taken_branches`` stays live
+   because the taken-branches sampler reads it.  The cycles sampler is
+   advanced inline and calls out only when a sample or skid is due,
+   and return-stack pushes and pops are inlined.
+
+4. **Word views.**  Aligned loads and stores index the page's int64
+   view (:attr:`Memory.words`) instead of slicing bytes.  They store
+   register values, which are always in ``[-2**63, 2**63)``: every
+   write to a register is a signed immediate, a signed memory word, a
+   0/1 flag, a wrapped result, or a bitwise op or arithmetic right
+   shift of in-range values -- which is also why those last need no
+   wrap.  Views are native-order, so a big-endian host runs the
+   reference loop instead.
+
+5. **Write-to-exec-range invalidation.**  Every store is bounds-checked
    against the executable ranges; the first write that lands in code
    sets ``machine.code_dirty``, the engine seeds the reference decode
    cache with exactly the instructions fetched so far (reference
    semantics: stale decodes persist for already-fetched pcs), and
-   execution falls back to the inherited interpretive loop — still
+   execution falls back to the inherited interpretive loop -- still
    bit-exact, including for self-modifying code.
 
-Per-instruction sampler/skid ticks, LBR records, branch-predictor
-updates and data-side cache/TLB accounting stay exact by construction:
-they run per step, in stream order, on the same model objects.
+Sampler/skid ticks, LBR records, branch-predictor updates and the
+data-side cache/TLB stream run per instruction, in stream order, on the
+same model objects as the reference.
 """
 
+import sys
 import weakref
 
 from repro.belf import BUILTIN_BASE
@@ -52,69 +74,37 @@ from repro.uarch._reference_cpu import (
     ReferenceCPU,
 )
 from repro.uarch.config import UarchConfig
-from repro.uarch.machine import Machine, MachineFault, EXIT_MAGIC
+from repro.uarch.machine import (
+    _PAGE_BITS,
+    _PAGE_MASK,
+    EXIT_MAGIC,
+    Machine,
+    MachineFault,
+)
 
-_U64 = 0xFFFFFFFFFFFFFFFF
 _SIGN = 0x8000000000000000
-_TWO64 = 0x10000000000000000
+_NSIGN = -_SIGN
+_WORD_VIEWS = sys.byteorder == "little"
 
 #: Maximum instructions per cached trace.
 _TRACE_CAP = 256
 
-# Straight-line step kinds (hot ones first: executor dispatch is an
-# if/elif chain in this order).
-_K_LOAD = 0
-_K_MOV_RI = 1
-_K_MOV_RR = 2
-_K_ADD_RI = 3
-_K_ADD_RR = 4
-_K_STORE = 5
-_K_CMP_RI = 6
-_K_CMP_RR = 7
-_K_SUB_RR = 8
-_K_SUB_RI = 9
-_K_LEA = 10
-_K_LOADIDX = 11
-_K_STOREIDX = 12
-_K_PUSH = 13
-_K_POP = 14
-_K_IMUL_RR = 15
-_K_IMUL_RI = 16
-_K_AND_RR = 17
-_K_AND_RI = 18
-_K_OR_RR = 19
-_K_OR_RI = 20
-_K_XOR_RR = 21
-_K_XOR_RI = 22
-_K_SHL_RI = 23
-_K_SHR_RI = 24
-_K_SAR_RI = 25
-_K_SHL_RR = 26
-_K_SHR_RR = 27
-_K_SAR_RR = 28
-_K_NEG = 29
-_K_IDIV = 30
-_K_IMOD = 31
-_K_TEST_RR = 32
-_K_TEST_RI = 33
-_K_SETCC = 34
-_K_LOAD_ABS = 35
-_K_STORE_ABS = 36
-_K_OUT = 37
-_K_NOP = 38
-
-# Terminator kinds (separate dispatch space).
-_T_JCC = 0
-_T_JMP = 1
-_T_CALL = 2
-_T_CALL_REG = 3
-_T_CALL_MEM = 4
-_T_JMP_REG = 5
-_T_JMP_MEM = 6
-_T_RET = 7
-_T_HALT = 8
-_T_TRAP = 9
-_T_UNKNOWN = 10
+# Step kinds in three bands -- register ops (k < _K_MEM), memory ops
+# (_K_MEM <= k < _K_TERM) and terminators -- so dispatch tests the band
+# first.  Within a band, arms are in this order, which follows measured
+# dynamic frequency on the compiler and proxygen workloads (MOV_RR alone
+# is a quarter of all instructions).
+(_K_MOV_RR, _K_ADD_RR, _K_MOV_RI, _K_IMOD, _K_IMUL_RI, _K_SAR_RI, _K_CMP_RI,
+ _K_AND_RI, _K_SUB_RI, _K_XOR_RI, _K_XOR_RR, _K_SUB_RR, _K_ADD_RI, _K_CMP_RR,
+ _K_LEA, _K_IMUL_RR, _K_AND_RR, _K_OR_RR, _K_OR_RI, _K_SHL_RI, _K_SHR_RI,
+ _K_TEST_RR, _K_TEST_RI, _K_SETCC, _K_SHL_RR, _K_SHR_RR, _K_SAR_RR, _K_NEG,
+ _K_IDIV, _K_OUT, _K_NOP,
+ _K_PUSH, _K_POP, _K_STORE, _K_LOAD, _K_LOADIDX, _K_LOAD_ABS, _K_STOREIDX,
+ _K_STORE_ABS,
+ _T_RET, _T_CALL, _T_JCC, _T_JMP, _T_JMP_MEM, _T_JMP_REG, _T_CALL_REG,
+ _T_CALL_MEM, _T_HALT, _T_TRAP, _T_UNKNOWN) = range(50)
+_K_MEM = _K_PUSH
+_K_TERM = _T_RET
 
 _CC_EQ = int(CondCode.EQ)
 _CC_NE = int(CondCode.NE)
@@ -206,123 +196,143 @@ class BlockCPU(ReferenceCPU):
             trace = traces.get(entry)
             if trace is None:       # pragma: no cover - traces are never evicted
                 continue
-            pcs = trace[2]
-            insns = trace[4]
+            pcs = trace[1]
+            insns = trace[3]
             for j in range(cnt):
                 dc[pcs[j]] = insns[j]
         self._trace_fetched.clear()
 
-    # -- data-side accounting (cold arms; hot arms inline this) ---------------
+    # -- sampling -------------------------------------------------------------
 
-    def _dacc(self, addr, pc, is_write):
-        if addr < 0:
-            kind = "write" if is_write else "read"
-            raise MachineFault(f"bad {kind} address {addr:#x} at pc={pc:#x}")
-        c = self.counters
-        cyc = 0
-        c.dtlb_accesses += 1
-        if not self.dtlb.access(addr):
-            c.dtlb_misses += 1
-            cyc += self.config.tlb_miss_penalty
-        c.l1d_accesses += 1
-        if not self.l1d.access(addr):
-            c.l1d_misses += 1
-            cyc += self._miss_path(addr)
-        if is_write:
-            c.mem_writes += 1
-        else:
-            c.mem_reads += 1
-        return cyc
+    def _tick_straight(self, pcs, n, extras, acc, skid_rem, last_taken):
+        """Sampler ticks of a trace's first ``n`` steps, all straight-line.
+
+        Run after those steps and before the trace's terminator: until
+        then neither the LBR nor ``taken_branches`` changes, so each tick
+        sees what it would have seen in stream order.  ``extras`` lists
+        ``(pc, cycles)`` those steps spent beyond ``base_cpi``.  Returns
+        the new ``(acc, skid_rem, last_taken)``.
+        """
+        sampler = self.sampler
+        event = sampler.event
+        base_cpi = int(self.config.base_cpi)
+        extra = {}
+        for p, cyc in extras:
+            extra[p] = extra.get(p, 0) + cyc
+        for j in range(n):
+            p = pcs[j]
+            if event == "cycles":
+                acc += base_cpi + extra.get(p, 0)
+            elif event == "instructions":
+                acc += 1
+            else:
+                tb = self.counters.taken_branches
+                acc += tb - last_taken
+                last_taken = tb
+            if skid_rem >= 0 or acc >= sampler.period:
+                acc, skid_rem = self._sample_due(p, acc, skid_rem)
+        return acc, skid_rem, last_taken
+
+    def _sample_due(self, pc, acc, skid_rem):
+        """The tail of ReferenceCPU._sampler_tick after the accumulator
+        was advanced: count down a pending skid, then take or schedule a
+        sample once ``acc`` reaches the period.  Returns the new
+        ``(acc, skid_rem)``."""
+        sampler = self.sampler
+        lbr = self.lbr
+        if skid_rem >= 0:
+            if skid_rem == 0:
+                sampler.take_sample(
+                    pc, lbr.snapshot() if lbr is not None else None)
+                skid_rem = -1
+            else:
+                skid_rem -= 1
+        if acc >= sampler.period:
+            acc -= sampler.period
+            if sampler.skid <= 0:
+                sampler.take_sample(
+                    pc, lbr.snapshot() if lbr is not None else None)
+            else:
+                skid_rem = sampler.skid - 1
+        return acc, skid_rem
 
     # -- trace construction ---------------------------------------------------
 
     def _build_trace(self, entry):
         """Decode a straight-line run starting at ``entry``.
 
-        Returns ``(steps, term, pcs, sizes, insns, cum_ia, cum_evi,
-        cum_evp, fall_pc, total)``.  Raises MachineFault exactly when
-        the reference fetch of ``entry`` would (non-executable entry or
-        decode error); mid-trace fetch problems truncate the trace so
-        the fault is raised on the *next* trace build, preserving the
-        reference's raise timing.
+        Returns ``(steps, pcs, sizes, insns, cum_ia, total)``: the step
+        tuples (a terminator, if the run ends in one, is the last), the
+        pc, size and decoded instruction of each, and the running count
+        of L1I accesses.  Each step's fetch events are ``(is_l1i, addr,
+        line or page)``.  Raises MachineFault exactly when the reference
+        fetch of ``entry`` would (non-executable entry or decode error);
+        mid-trace fetch problems truncate the trace so the fault is
+        raised on the *next* trace build, preserving the reference's
+        raise timing.
         """
         machine = self.machine
         memory = machine.memory
-        cfg = self.config
         line_bits = self.l1i.line_bits
         page_bits = self.itlb.page_bits
-        ev_all = cfg.prefetch_next_line
+        ev_all = self.config.prefetch_next_line
         steps = []
         pcs = []
         sizes = []
         insns = []
         cum_ia = []
-        cum_evi = []
-        cum_evp = []
-        term = None
         pc = entry
         prev_line = None
         prev_page = None
-        ia = evi = evp = 0
-        first = True
+        ia = 0
 
         while True:
-            if first:
-                first = False
-                if not machine.is_executable_address(pc):
+            if not machine.is_executable_address(pc):
+                if pc == entry:
                     raise MachineFault(
                         f"jump to non-executable address {pc:#x}")
-                try:
-                    insn = decode(memory.read_bytes(pc, 16), 0, pc)
-                except DecodeError as exc:
+                break
+            try:
+                insn = decode(memory.read_bytes(pc, 16), 0, pc)
+            except DecodeError as exc:
+                if pc == entry:
                     raise MachineFault(str(exc)) from None
-            else:
-                if not machine.is_executable_address(pc):
-                    break
-                try:
-                    insn = decode(memory.read_bytes(pc, 16), 0, pc)
-                except DecodeError:
-                    break
+                break
             size = insn.size
 
             # Fetch events: accesses whose line/page differs from the
-            # previous ifetch access must be real access() calls.
+            # previous ifetch access must be looked up.
             ev = []
             page = pc >> page_bits
             if page != prev_page:
-                ev.append((0, pc))
-                evp += 1
+                ev.append((False, pc, page))
                 prev_page = page
             line = pc >> line_bits
-            n_ia = 1
+            ia += 1
             if ev_all or line != prev_line:
-                ev.append((1, pc))
-                evi += 1
+                ev.append((True, pc, line))
             prev_line = line
             end = pc + size - 1
             end_line = end >> line_bits
             if end_line != line:
-                n_ia = 2
-                ev.append((1, end))
-                evi += 1
+                ia += 1
+                ev.append((True, end, end_line))
                 prev_line = end_line
-            ia += n_ia
             fev = tuple(ev) if ev else None
 
             pcs.append(pc)
             sizes.append(size)
             insns.append(insn)
             cum_ia.append(ia)
-            cum_evi.append(evi)
-            cum_evp.append(evp)
 
             op = insn.op
             npc = pc + size
-            prepped = _prep_straight(op, insn)
-            if prepped is None:
-                term = _prep_term(op, insn, pc, npc, fev)
+            step = _prep_straight(op, insn)
+            if step is None:
+                tk, a, b = _prep_term(op, insn)
+                steps.append((tk, a, b, npc, 0, pc, fev))
                 break
-            k, a, b, c, d = prepped
+            k, a, b, c, d = step
             steps.append((k, a, b, c, d, pc, fev))
             # A fallthrough into the builtin region cannot occur for
             # linked binaries (code sits far below BUILTIN_BASE), but
@@ -331,16 +341,14 @@ class BlockCPU(ReferenceCPU):
                 break
             pc = npc
 
-        fall_pc = pcs[-1] + sizes[-1]
-        return (steps, term, pcs, sizes, insns, cum_ia, cum_evi, cum_evp,
-                fall_pc, len(pcs))
+        return steps, pcs, sizes, insns, cum_ia, len(pcs)
 
     # -- main loop ------------------------------------------------------------
 
     def run(self, max_instructions=50_000_000):
         """Run until halt; returns the exit code (rax at exit)."""
         machine = self.machine
-        if machine.code_dirty:
+        if machine.code_dirty or not _WORD_VIEWS:
             self._seed_decode_cache()
             return ReferenceCPU.run(self, max_instructions)
         if self.halted:
@@ -352,15 +360,38 @@ class BlockCPU(ReferenceCPU):
         memory = machine.memory
         read_word = memory.read_word
         write_word = memory.write_word
+        words = memory.words
+        word_view = memory.word_view
+        code_write_check = machine.code_write_check
+        exec_lo, exec_hi = machine.exec_bounds()
+        miss_path = self._miss_path
         l1i = self.l1i
-        itlb = self.itlb
         l1i_access = l1i.access
+        l1i_install = l1i.install
+        isets = l1i.sets
+        imask = l1i.set_mask
+        ishift = l1i.tag_shift
+        l1d = self.l1d
+        l1d_access = l1d.access
+        dsets = l1d.sets
+        dmask = l1d.set_mask
+        dshift = l1d.tag_shift
+        dlb = l1d.line_bits
+        itlb = self.itlb
         itlb_access = itlb.access
-        dtlb_access = self.dtlb.access
-        l1d_access = self.l1d.access
+        ipages = itlb.pages
+        ilast = itlb._last
+        dtlb = self.dtlb
+        dtlb_access = dtlb.access
+        dpages = dtlb.pages
+        dpb = dtlb.page_bits
+        dlast = dtlb._last
         bp = self.bp
+        update_cond = bp.update_cond
+        predict_indirect = bp.predict_indirect
+        ras = bp.ras
+        ras_depth = bp.ras_depth
         lbr = self.lbr
-        sampler = self.sampler
         out_append = self.output.append
         base_cpi = int(cfg.base_cpi)
         taken_pen = cfg.taken_branch_penalty
@@ -368,508 +399,678 @@ class BlockCPU(ReferenceCPU):
         tlb_pen = cfg.tlb_miss_penalty
         line_size = cfg.line_size
         prefetch = cfg.prefetch_next_line
-        exec_lo, exec_hi = machine.exec_bounds()
         traces = self._traces
+        build_trace = self._build_trace
         tf = self._trace_fetched
         fetch_heat = self.fetch_heat
         rsp_i = RSP
-        rax_i = RAX
+        sign = _SIGN
+        nsign = _NSIGN
+        u64 = _MASK
+        two64 = _MASK + 1
+        page_bits = _PAGE_BITS
+        page_mask = _PAGE_MASK
         builtin_base = BUILTIN_BASE
         exit_magic = EXIT_MAGIC
-        remaining = max_instructions
+
+        sampler = self.sampler
+        sampling = sampler is not None
+        acc = self._sample_acc
+        skid_rem = self._skid_remaining
+        last_taken = getattr(self, "_last_taken", 0)
+        s_cycles = sampling and sampler.event == "cycles"
+        s_period = sampler.period if sampling else 0
+        tick_straight = self._tick_straight
+        # Straight steps are ticked in one go before the terminator;
+        # until then `sx` holds their (pc, cycles) beyond base_cpi and
+        # `sxc` the sum of those cycles.
+        sx = []
+        sxc = 0
 
         fa = self.flag_a
         fb = self.flag_b
-        acc = skid_rem = last_taken = 0
-        if sampler is not None:
-            take_sample = sampler.take_sample
-            ev_name = sampler.event
-            s_event = (0 if ev_name == "cycles"
-                       else 1 if ev_name == "instructions" else 2)
-            s_period = sampler.period
-            s_skid = sampler.skid
-            acc = self._sample_acc
-            skid_rem = self._skid_remaining
-            last_taken = getattr(self, "_last_taken", 0)
+        cur = self.pc               # pc of the next trace
+        halted = False
+        bail = False                # a store hit code: leave for the ref loop
+        remaining = max_instructions
 
-            def tick(tpc, tcyc):
-                nonlocal acc, skid_rem, last_taken
-                if s_event == 0:
-                    acc += tcyc
-                elif s_event == 1:
-                    acc += 1
+        # Run-level batched counts, flushed by the `finally` below.
+        # cycles = base_cpi * n_ins + xc; the object-side `accesses` of
+        # a cache or TLB are its accesses minus the access() calls made.
+        n_ins = n_ia = xc = fx = 0
+        n_rd = n_wr = 0
+        il_calls = it_calls = dl_calls = dt_calls = 0
+        n_cond = n_cond_taken = n_uncond = n_miss = 0
+        n_calls = n_rets = n_ind = 0
+
+        try:
+            while True:
+                if remaining <= 0:
+                    raise ExecutionLimitExceeded(
+                        f"exceeded {max_instructions} instructions"
+                        f" at pc={cur:#x}")
+                trace = traces.get(cur)
+                if trace is None:
+                    trace = traces[cur] = build_trace(cur)
+                steps, pcs, sizes, _, cum_ia, total = trace
+                if remaining >= total:
+                    count = total
+                    run_steps = steps
                 else:
-                    tb = counters.taken_branches
-                    acc += tb - last_taken
-                    last_taken = tb
-                if skid_rem >= 0:
-                    if skid_rem == 0:
-                        take_sample(
-                            tpc, lbr.snapshot() if lbr is not None else None)
-                        skid_rem = -1
-                    else:
-                        skid_rem -= 1
-                if acc >= s_period:
-                    acc -= s_period
-                    if s_skid <= 0:
-                        take_sample(
-                            tpc, lbr.snapshot() if lbr is not None else None)
-                    else:
-                        skid_rem = s_skid - 1
+                    count = remaining
+                    run_steps = steps[:count]
 
-        def sync():
-            self.flag_a = fa
-            self.flag_b = fb
-            if sampler is not None:
-                self._sample_acc = acc
-                self._skid_remaining = skid_rem
-                self._last_taken = last_taken
-
-        while True:
-            if remaining <= 0:
-                sync()
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_instructions} instructions"
-                    f" at pc={self.pc:#x}")
-            entry = self.pc
-            trace = traces.get(entry)
-            if trace is None:
                 try:
-                    trace = self._build_trace(entry)
+                    for k, a, b, c, d, pc, fev in run_steps:
+                        if fev is not None:
+                            fx = 0
+                            for is_l1i, eaddr, key in fev:
+                                if is_l1i:
+                                    ways = isets[key & imask]
+                                    tag = key >> ishift
+                                    if ways and ways[0] == tag:
+                                        pass
+                                    elif tag in ways:
+                                        ways.remove(tag)
+                                        ways.insert(0, tag)
+                                    else:
+                                        il_calls += 1
+                                        l1i_access(eaddr)   # a miss
+                                        counters.l1i_misses += 1
+                                        fx += miss_path(eaddr)
+                                        if prefetch:
+                                            l1i_install(eaddr + line_size)
+                                elif key != ilast:
+                                    if key in ipages:
+                                        del ipages[key]
+                                        ipages[key] = True
+                                        itlb._last = key
+                                    else:
+                                        it_calls += 1
+                                        itlb_access(eaddr)
+                                        counters.itlb_misses += 1
+                                        fx += tlb_pen
+                                    ilast = key
+                            if fx:
+                                xc += fx
+                                if sampling and k < _K_TERM:
+                                    sx.append((pc, fx))
+                                    sxc += fx
+
+                        if k < _K_MEM:
+                            if k == _K_MOV_RR:
+                                regs[a] = regs[b]
+                            elif k == _K_ADD_RR:
+                                v = regs[a] + regs[b]
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_MOV_RI:
+                                regs[a] = b
+                            elif k == _K_IMOD:
+                                divisor = regs[b]
+                                if divisor == 0:
+                                    raise MachineFault(
+                                        f"division by zero at pc={pc:#x}")
+                                # C remainder: the sign of the dividend,
+                                # smaller than the divisor (no wrap).
+                                dividend = regs[a]
+                                v = dividend % divisor
+                                if v and (dividend < 0) != (divisor < 0):
+                                    v -= divisor
+                                regs[a] = v
+                            elif k == _K_IMUL_RI:
+                                v = regs[a] * b
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_SAR_RI:
+                                regs[a] = regs[a] >> b
+                            elif k == _K_CMP_RI:
+                                fa = regs[a]
+                                fb = b
+                            elif k == _K_AND_RI:
+                                regs[a] &= b
+                            elif k == _K_SUB_RI:
+                                v = regs[a] - b
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_XOR_RI:
+                                regs[a] ^= b
+                            elif k == _K_XOR_RR:
+                                regs[a] ^= regs[b]
+                            elif k == _K_SUB_RR:
+                                v = regs[a] - regs[b]
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_ADD_RI:
+                                v = regs[a] + b
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_CMP_RR:
+                                fa = regs[a]
+                                fb = regs[b]
+                            elif k == _K_LEA:
+                                v = regs[b] + c
+                                if v >= sign or v < nsign:
+                                    v = ((v + sign) & u64) - sign
+                                regs[a] = v
+                            elif k == _K_IMUL_RR:
+                                regs[a] = _wrap(regs[a] * regs[b])
+                            elif k == _K_AND_RR:
+                                regs[a] &= regs[b]
+                            elif k == _K_OR_RR:
+                                regs[a] |= regs[b]
+                            elif k == _K_OR_RI:
+                                regs[a] |= b
+                            elif k == _K_SHL_RI:
+                                regs[a] = _wrap(regs[a] << b)
+                            elif k == _K_SHR_RI:
+                                # b in 1..63 (a zero count is a NOP step):
+                                # the result is below 2**63.
+                                regs[a] = (regs[a] & u64) >> b
+                            elif k == _K_TEST_RR:
+                                fa = regs[a] & regs[b]
+                                fb = 0
+                            elif k == _K_TEST_RI:
+                                fa = regs[a] & b
+                                fb = 0
+                            elif k == _K_SETCC:
+                                regs[a] = 1 if _cc_eval(b, fa, fb) else 0
+                            elif k == _K_SHL_RR:
+                                regs[a] = _wrap(regs[a] << (regs[b] & 63))
+                            elif k == _K_SHR_RR:
+                                regs[a] = _wrap(
+                                    (regs[a] & u64) >> (regs[b] & 63))
+                            elif k == _K_SAR_RR:
+                                regs[a] = regs[a] >> (regs[b] & 63)
+                            elif k == _K_NEG:
+                                regs[a] = _wrap(-regs[a])
+                            elif k == _K_IDIV:
+                                divisor = regs[b]
+                                if divisor == 0:
+                                    raise MachineFault(
+                                        f"division by zero at pc={pc:#x}")
+                                dividend = regs[a]
+                                quotient = abs(dividend) // abs(divisor)
+                                if (dividend < 0) != (divisor < 0):
+                                    quotient = -quotient
+                                regs[a] = _wrap(quotient)
+                            elif k == _K_OUT:
+                                out_append(regs[a])
+                            # _K_NOP: nothing
+
+                        elif k < _K_TERM:
+                            if k == _K_PUSH:
+                                addr = regs[rsp_i] - 8
+                                if addr < nsign:
+                                    addr += two64
+                                regs[rsp_i] = addr
+                                val = regs[a]
+                                wr = True
+                            elif k == _K_POP:
+                                addr = regs[rsp_i]
+                                wr = False
+                            elif k == _K_STORE:
+                                addr = regs[a] + b
+                                val = regs[c]
+                                wr = True
+                            elif k == _K_LOAD:
+                                addr = regs[b] + c
+                                wr = False
+                            elif k == _K_LOADIDX:
+                                addr = regs[b] + 8 * regs[c] + d
+                                wr = False
+                            elif k == _K_LOAD_ABS:
+                                addr = b
+                                wr = False
+                            elif k == _K_STOREIDX:
+                                addr = regs[a] + 8 * regs[b] + c
+                                val = regs[d]
+                                wr = True
+                            else:           # STORE_ABS
+                                addr = a
+                                val = regs[b]
+                                wr = True
+                            if addr < 0:
+                                raise MachineFault(
+                                    f"bad {'write' if wr else 'read'} address"
+                                    f" {addr:#x} at pc={pc:#x}")
+                            page = addr >> dpb
+                            if page != dlast:
+                                if page in dpages:
+                                    del dpages[page]
+                                    dpages[page] = True
+                                    dtlb._last = page
+                                else:
+                                    dt_calls += 1
+                                    dtlb_access(addr)
+                                    counters.dtlb_misses += 1
+                                    xc += tlb_pen
+                                    if sampling:
+                                        sx.append((pc, tlb_pen))
+                                        sxc += tlb_pen
+                                dlast = page
+                            line = addr >> dlb
+                            ways = dsets[line & dmask]
+                            tag = line >> dshift
+                            if ways and ways[0] == tag:
+                                pass
+                            elif tag in ways:
+                                ways.remove(tag)
+                                ways.insert(0, tag)
+                            else:
+                                dl_calls += 1
+                                l1d_access(addr)            # a miss
+                                counters.l1d_misses += 1
+                                m = miss_path(addr)
+                                xc += m
+                                if sampling:
+                                    sx.append((pc, m))
+                                    sxc += m
+                            if wr:
+                                n_wr += 1
+                                if addr & 7:
+                                    write_word(addr, val)
+                                else:
+                                    w = words.get(addr >> page_bits)
+                                    if w is None:
+                                        w = word_view(addr >> page_bits)
+                                    w[(addr & page_mask) >> 3] = val
+                                if (addr < exec_hi and addr + 8 > exec_lo
+                                        and code_write_check(addr)):
+                                    bail = True
+                            else:
+                                n_rd += 1
+                                if addr & 7:
+                                    regs[a] = read_word(addr)
+                                else:
+                                    w = words.get(addr >> page_bits)
+                                    regs[a] = (0 if w is None else
+                                               w[(addr & page_mask) >> 3])
+                                if k == _K_POP:
+                                    # After the load: POP RSP pops into
+                                    # RSP, then adds 8 to the loaded value.
+                                    v = regs[rsp_i] + 8
+                                    if v >= sign:
+                                        v -= two64
+                                    regs[rsp_i] = v
+
+                        else:
+                            # Terminator: last step of the trace.  The
+                            # straight steps before it are ticked first,
+                            # as it may change the LBR.  Its own extra
+                            # cycles gather in `tc` and reach `xc` once
+                            # it cannot fault any more.
+                            if sampling and total > 1:
+                                g = base_cpi * (total - 1) + sxc
+                                if (s_cycles and skid_rem < 0
+                                        and acc + g < s_period):
+                                    acc += g
+                                else:
+                                    acc, skid_rem, last_taken = tick_straight(
+                                        pcs, total - 1, sx, acc, skid_rem,
+                                        last_taken)
+                                if sx:
+                                    sx = []
+                                    sxc = 0
+                            tc = 0
+                            if k == _T_RET:
+                                n_rets += 1
+                                addr = regs[rsp_i]
+                                if addr < 0:
+                                    raise MachineFault(
+                                        f"bad read address {addr:#x}"
+                                        f" at pc={pc:#x}")
+                                page = addr >> dpb
+                                if page != dlast:
+                                    if page in dpages:
+                                        del dpages[page]
+                                        dpages[page] = True
+                                        dtlb._last = page
+                                    else:
+                                        dt_calls += 1
+                                        dtlb_access(addr)
+                                        counters.dtlb_misses += 1
+                                        tc += tlb_pen
+                                    dlast = page
+                                line = addr >> dlb
+                                ways = dsets[line & dmask]
+                                if not ways or ways[0] != line >> dshift:
+                                    dl_calls += 1
+                                    if not l1d_access(addr):
+                                        counters.l1d_misses += 1
+                                        tc += miss_path(addr)
+                                n_rd += 1
+                                if addr & 7:
+                                    target = read_word(addr) & u64
+                                else:
+                                    w = words.get(addr >> page_bits)
+                                    target = (0 if w is None else
+                                              w[(addr & page_mask) >> 3] & u64)
+                                v = addr + 8
+                                if v >= sign:
+                                    v -= two64
+                                regs[rsp_i] = v
+                                if not ras or ras.pop() != target:
+                                    n_miss += 1
+                                    tc += mispred_pen
+                                    mis = True
+                                else:
+                                    mis = False
+                                if target == exit_magic:
+                                    self.halted = halted = True
+                                    self.exit_code = regs[RAX]
+                                    npc = pc
+                                else:
+                                    counters.taken_branches += 1
+                                    tc += taken_pen
+                                    if lbr is not None:
+                                        lbr.record(pc, target, mis)
+                                    npc = target
+                            elif k == _T_JCC:
+                                n_cond += 1
+                                taken = _cc_eval(a, fa, fb)
+                                if update_cond(pc, taken):
+                                    mis = False
+                                else:
+                                    n_miss += 1
+                                    tc += mispred_pen
+                                    mis = True
+                                if taken:
+                                    n_cond_taken += 1
+                                    counters.taken_branches += 1
+                                    tc += taken_pen
+                                    if lbr is not None:
+                                        lbr.record(pc, b, mis)
+                                    npc = b
+                                else:
+                                    npc = c
+                            elif k == _T_JMP:
+                                n_uncond += 1
+                                counters.taken_branches += 1
+                                tc += taken_pen
+                                if lbr is not None:
+                                    lbr.record(pc, a, False)
+                                npc = a
+                            elif k < _T_HALT:
+                                # CALL and the indirect transfers.
+                                if k == _T_CALL:
+                                    target = a
+                                    mis = False
+                                else:
+                                    n_ind += 1
+                                    if k == _T_JMP_MEM or k == _T_CALL_MEM:
+                                        addr = a    # abs32: never negative
+                                        page = addr >> dpb
+                                        if page != dlast:
+                                            if page in dpages:
+                                                del dpages[page]
+                                                dpages[page] = True
+                                                dtlb._last = page
+                                            else:
+                                                dt_calls += 1
+                                                dtlb_access(addr)
+                                                counters.dtlb_misses += 1
+                                                tc += tlb_pen
+                                            dlast = page
+                                        line = addr >> dlb
+                                        ways = dsets[line & dmask]
+                                        if (not ways
+                                                or ways[0] != line >> dshift):
+                                            dl_calls += 1
+                                            if not l1d_access(addr):
+                                                counters.l1d_misses += 1
+                                                tc += miss_path(addr)
+                                        n_rd += 1
+                                        target = read_word(addr) & u64
+                                    else:
+                                        target = regs[a] & u64
+                                    if predict_indirect(pc, target):
+                                        mis = False
+                                    else:
+                                        n_miss += 1
+                                        tc += mispred_pen
+                                        mis = True
+                                if k == _T_CALL or k >= _T_CALL_REG:
+                                    n_calls += 1
+                                    addr = regs[rsp_i] - 8
+                                    if addr < nsign:
+                                        addr += two64
+                                    regs[rsp_i] = addr
+                                    if addr < 0:
+                                        raise MachineFault(
+                                            f"bad write address {addr:#x}"
+                                            f" at pc={pc:#x}")
+                                    page = addr >> dpb
+                                    if page != dlast:
+                                        if page in dpages:
+                                            del dpages[page]
+                                            dpages[page] = True
+                                            dtlb._last = page
+                                        else:
+                                            dt_calls += 1
+                                            dtlb_access(addr)
+                                            counters.dtlb_misses += 1
+                                            tc += tlb_pen
+                                        dlast = page
+                                    line = addr >> dlb
+                                    ways = dsets[line & dmask]
+                                    if not ways or ways[0] != line >> dshift:
+                                        dl_calls += 1
+                                        if not l1d_access(addr):
+                                            counters.l1d_misses += 1
+                                            tc += miss_path(addr)
+                                    n_wr += 1
+                                    if addr & 7:
+                                        write_word(addr, c)
+                                    else:
+                                        w = words.get(addr >> page_bits)
+                                        if w is None:
+                                            w = word_view(addr >> page_bits)
+                                        w[(addr & page_mask) >> 3] = c
+                                    if (addr < exec_hi and addr + 8 > exec_lo
+                                            and code_write_check(addr)):
+                                        bail = True
+                                    if len(ras) >= ras_depth:
+                                        del ras[0]
+                                    ras.append(c)
+                                else:
+                                    n_uncond += 1
+                                counters.taken_branches += 1
+                                tc += taken_pen
+                                if lbr is not None:
+                                    lbr.record(pc, target, mis)
+                                npc = target
+                            elif k == _T_HALT:
+                                self.halted = halted = True
+                                self.exit_code = regs[RAX]
+                                npc = pc
+                            elif k == _T_TRAP:
+                                raise MachineFault(f"trap at pc={pc:#x}")
+                            else:           # pragma: no cover
+                                raise MachineFault(
+                                    f"unimplemented opcode {a!r} at {pc:#x}")
+                            xc += tc
+                            break           # ticked after the builtin
+
+                        if bail:
+                            break
                 except MachineFault:
-                    sync()
+                    # Dispatch-phase fault at `pc`: the reference counts
+                    # the faulting instruction (fetched) but not its
+                    # cycles, fetch misses included.
+                    done = pcs.index(pc) + 1
+                    if sampling and k < _K_TERM:
+                        acc, skid_rem, last_taken = tick_straight(
+                            pcs, done - 1, [e for e in sx if e[0] != pc],
+                            acc, skid_rem, last_taken)
+                    n_ins += done
+                    n_ia += cum_ia[done - 1]
+                    xc -= base_cpi
+                    if steps[done - 1][6] is not None:
+                        xc -= fx
+                    if fetch_heat is not None:
+                        for j in range(done):
+                            p = pcs[j]
+                            fetch_heat[p] = fetch_heat.get(p, 0) + sizes[j]
+                    if done > tf.get(cur, 0):
+                        tf[cur] = done
+                    cur = pc
                     raise
-                traces[entry] = trace
-            (steps, term, pcs, sizes, insns, cum_ia, cum_evi, cum_evp,
-             fall_pc, total) = trace
-            n_straight = total if term is None else total - 1
-            if remaining >= total:
-                count = total
-                run_steps = steps
-            else:
-                count = remaining
-                run_steps = steps if count >= n_straight else steps[:count]
-            done = 0
-            cyc_total = 0
-            bail = False
-            executed_term = False
-            pc = entry
 
-            try:
-                for st in run_steps:
-                    k, a, b, c, d, pc, fev = st
-                    cyc = 0
-                    if fev is not None:
-                        for ek, eaddr in fev:
-                            if ek:
-                                if not l1i_access(eaddr):
-                                    counters.l1i_misses += 1
-                                    cyc += self._miss_path(eaddr)
-                                    if prefetch:
-                                        l1i.install(eaddr + line_size)
-                            elif not itlb_access(eaddr):
-                                counters.itlb_misses += 1
-                                cyc += tlb_pen
-
-                    if k == 0:          # LOAD
-                        addr = regs[b] + c
-                        if addr < 0:
-                            raise MachineFault(
-                                f"bad read address {addr:#x} at pc={pc:#x}")
-                        counters.dtlb_accesses += 1
-                        if not dtlb_access(addr):
-                            counters.dtlb_misses += 1
-                            cyc += tlb_pen
-                        counters.l1d_accesses += 1
-                        if not l1d_access(addr):
-                            counters.l1d_misses += 1
-                            cyc += self._miss_path(addr)
-                        counters.mem_reads += 1
-                        regs[a] = read_word(addr)
-                    elif k == 1:        # MOV_RI32 / MOV_RI64
-                        regs[a] = b
-                    elif k == 2:        # MOV_RR
-                        regs[a] = regs[b]
-                    elif k == 3:        # ADD_RI
-                        v = (regs[a] + b) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 4:        # ADD_RR
-                        v = (regs[a] + regs[b]) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 5:        # STORE
-                        addr = regs[a] + b
-                        if addr < 0:
-                            raise MachineFault(
-                                f"bad write address {addr:#x} at pc={pc:#x}")
-                        counters.dtlb_accesses += 1
-                        if not dtlb_access(addr):
-                            counters.dtlb_misses += 1
-                            cyc += tlb_pen
-                        counters.l1d_accesses += 1
-                        if not l1d_access(addr):
-                            counters.l1d_misses += 1
-                            cyc += self._miss_path(addr)
-                        counters.mem_writes += 1
-                        write_word(addr, regs[c])
-                        if (addr < exec_hi and addr + 8 > exec_lo
-                                and machine.code_write_check(addr)):
-                            bail = True
-                    elif k == 6:        # CMP_RI
-                        fa = regs[a]
-                        fb = b
-                    elif k == 7:        # CMP_RR
-                        fa = regs[a]
-                        fb = regs[b]
-                    elif k == 8:        # SUB_RR
-                        v = (regs[a] - regs[b]) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 9:        # SUB_RI
-                        v = (regs[a] - b) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 10:       # LEA
-                        v = (regs[b] + c) & _U64
-                        regs[a] = v - _TWO64 if v >= _SIGN else v
-                    elif k == 11:       # LOADIDX
-                        addr = regs[b] + 8 * regs[c] + d
-                        cyc += self._dacc(addr, pc, False)
-                        regs[a] = read_word(addr)
-                    elif k == 12:       # STOREIDX
-                        addr = regs[a] + 8 * regs[b] + c
-                        cyc += self._dacc(addr, pc, True)
-                        write_word(addr, regs[d])
-                        if (addr < exec_hi and addr + 8 > exec_lo
-                                and machine.code_write_check(addr)):
-                            bail = True
-                    elif k == 13:       # PUSH
-                        rsp = _wrap(regs[rsp_i] - 8)
-                        regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
-                        write_word(rsp, regs[a])
-                        if (rsp < exec_hi and rsp + 8 > exec_lo
-                                and machine.code_write_check(rsp)):
-                            bail = True
-                    elif k == 14:       # POP
-                        rsp = regs[rsp_i]
-                        cyc += self._dacc(rsp, pc, False)
-                        regs[a] = read_word(rsp)
-                        regs[rsp_i] = _wrap(rsp + 8)
-                    elif k == 15:       # IMUL_RR
-                        regs[a] = _wrap(regs[a] * regs[b])
-                    elif k == 16:       # IMUL_RI
-                        regs[a] = _wrap(regs[a] * b)
-                    elif k == 17:       # AND_RR
-                        regs[a] = _wrap(regs[a] & regs[b])
-                    elif k == 18:       # AND_RI
-                        regs[a] = _wrap(regs[a] & b)
-                    elif k == 19:       # OR_RR
-                        regs[a] = _wrap(regs[a] | regs[b])
-                    elif k == 20:       # OR_RI
-                        regs[a] = _wrap(regs[a] | b)
-                    elif k == 21:       # XOR_RR
-                        regs[a] = _wrap(regs[a] ^ regs[b])
-                    elif k == 22:       # XOR_RI
-                        regs[a] = _wrap(regs[a] ^ b)
-                    elif k == 23:       # SHL_RI
-                        regs[a] = _wrap(regs[a] << (b & 63))
-                    elif k == 24:       # SHR_RI
-                        regs[a] = _wrap((regs[a] & _MASK) >> (b & 63))
-                    elif k == 25:       # SAR_RI
-                        regs[a] = _wrap(regs[a] >> (b & 63))
-                    elif k == 26:       # SHL_RR
-                        regs[a] = _wrap(regs[a] << (regs[b] & 63))
-                    elif k == 27:       # SHR_RR
-                        regs[a] = _wrap((regs[a] & _MASK) >> (regs[b] & 63))
-                    elif k == 28:       # SAR_RR
-                        regs[a] = _wrap(regs[a] >> (regs[b] & 63))
-                    elif k == 29:       # NEG
-                        regs[a] = _wrap(-regs[a])
-                    elif k == 30 or k == 31:    # IDIV_RR / IMOD_RR
-                        divisor = regs[b]
-                        if divisor == 0:
-                            raise MachineFault(
-                                f"division by zero at pc={pc:#x}")
-                        dividend = regs[a]
-                        quotient = abs(dividend) // abs(divisor)
-                        if (dividend < 0) != (divisor < 0):
-                            quotient = -quotient
-                        if k == 30:
-                            regs[a] = _wrap(quotient)
-                        else:
-                            regs[a] = _wrap(dividend - quotient * divisor)
-                    elif k == 32:       # TEST_RR
-                        fa = _wrap(regs[a] & regs[b])
-                        fb = 0
-                    elif k == 33:       # TEST_RI
-                        fa = _wrap(regs[a] & b)
-                        fb = 0
-                    elif k == 34:       # SETCC
-                        regs[a] = 1 if _cc_eval(b, fa, fb) else 0
-                    elif k == 35:       # LOAD_ABS
-                        cyc += self._dacc(b, pc, False)
-                        regs[a] = read_word(b)
-                    elif k == 36:       # STORE_ABS
-                        cyc += self._dacc(a, pc, True)
-                        write_word(a, regs[b])
-                        if (a < exec_hi and a + 8 > exec_lo
-                                and machine.code_write_check(a)):
-                            bail = True
-                    elif k == 37:       # OUT
-                        out_append(regs[a])
-                    # k == 38: NOP / NOPN
-
-                    cyc += base_cpi
-                    cyc_total += cyc
-                    done += 1
-                    if sampler is not None:
-                        tick(pc, cyc)
-                    if bail:
-                        break
-
-                if term is not None and not bail and count == total:
-                    tk, a, b, pc, npc, fev = term
-                    cyc = 0
-                    if fev is not None:
-                        for ek, eaddr in fev:
-                            if ek:
-                                if not l1i_access(eaddr):
-                                    counters.l1i_misses += 1
-                                    cyc += self._miss_path(eaddr)
-                                    if prefetch:
-                                        l1i.install(eaddr + line_size)
-                            elif not itlb_access(eaddr):
-                                counters.itlb_misses += 1
-                                cyc += tlb_pen
-
-                    if tk == 0:         # JCC_SHORT / JCC_LONG
-                        counters.cond_branches += 1
-                        taken = _cc_eval(a, fa, fb)
-                        correct = bp.update_cond(pc, taken)
-                        if not correct:
-                            counters.branch_misses += 1
-                            cyc += mispred_pen
-                        if taken:
-                            counters.cond_taken += 1
-                            counters.taken_branches += 1
-                            cyc += taken_pen
-                            if lbr is not None:
-                                lbr.record(pc, b, not correct)
-                            npc = b
-                    elif tk == 7:       # RET / REPZ_RET
-                        counters.returns += 1
-                        rsp = regs[rsp_i]
-                        cyc += self._dacc(rsp, pc, False)
-                        target = read_word(rsp) & _MASK
-                        regs[rsp_i] = _wrap(rsp + 8)
-                        correct = bp.predict_return(target)
-                        if not correct:
-                            counters.branch_misses += 1
-                            cyc += mispred_pen
-                        if target == exit_magic:
-                            self.halted = True
-                            self.exit_code = regs[rax_i]
-                            npc = pc
-                        else:
-                            counters.taken_branches += 1
-                            cyc += taken_pen
-                            if lbr is not None:
-                                lbr.record(pc, target, not correct)
-                            npc = target
-                    elif tk == 2:       # CALL
-                        counters.calls += 1
-                        rsp = _wrap(regs[rsp_i] - 8)
-                        regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
-                        write_word(rsp, npc)
-                        if rsp < exec_hi and rsp + 8 > exec_lo:
-                            machine.code_write_check(rsp)
-                        bp.push_return(npc)
-                        counters.taken_branches += 1
-                        cyc += taken_pen
-                        if lbr is not None:
-                            lbr.record(pc, a, False)
-                        npc = a
-                    elif tk == 1:       # JMP_SHORT / JMP_NEAR
-                        counters.uncond_branches += 1
-                        counters.taken_branches += 1
-                        cyc += taken_pen
-                        if lbr is not None:
-                            lbr.record(pc, a, False)
-                        npc = a
-                    elif tk == 3 or tk == 4:    # CALL_REG / CALL_MEM
-                        counters.calls += 1
-                        counters.indirect_branches += 1
-                        if tk == 3:
-                            target = regs[a] & _MASK
-                        else:
-                            cyc += self._dacc(a, pc, False)
-                            target = read_word(a) & _MASK
-                        correct = bp.predict_indirect(pc, target)
-                        if not correct:
-                            counters.branch_misses += 1
-                            cyc += mispred_pen
-                        rsp = _wrap(regs[rsp_i] - 8)
-                        regs[rsp_i] = rsp
-                        cyc += self._dacc(rsp, pc, True)
-                        write_word(rsp, npc)
-                        if rsp < exec_hi and rsp + 8 > exec_lo:
-                            machine.code_write_check(rsp)
-                        bp.push_return(npc)
-                        counters.taken_branches += 1
-                        cyc += taken_pen
-                        if lbr is not None:
-                            lbr.record(pc, target, not correct)
-                        npc = target
-                    elif tk == 5 or tk == 6:    # JMP_REG / JMP_MEM
-                        counters.uncond_branches += 1
-                        counters.indirect_branches += 1
-                        if tk == 5:
-                            target = regs[a] & _MASK
-                        else:
-                            cyc += self._dacc(a, pc, False)
-                            target = read_word(a) & _MASK
-                        correct = bp.predict_indirect(pc, target)
-                        if not correct:
-                            counters.branch_misses += 1
-                            cyc += mispred_pen
-                        counters.taken_branches += 1
-                        cyc += taken_pen
-                        if lbr is not None:
-                            lbr.record(pc, target, not correct)
-                        npc = target
-                    elif tk == 8:       # HALT
-                        self.halted = True
-                        self.exit_code = regs[rax_i]
-                        npc = pc
-                    elif tk == 9:       # TRAP
-                        raise MachineFault(f"trap at pc={pc:#x}")
-                    else:               # pragma: no cover
-                        raise MachineFault(
-                            f"unimplemented opcode {a!r} at {pc:#x}")
-
-                    cyc += base_cpi
-                    cyc_total += cyc
-                    done += 1
-                    executed_term = True
-                    term_pc = pc
-                    term_cyc = cyc
-            except MachineFault:
-                # Dispatch-phase fault at `pc`: the reference counts the
-                # faulting instruction (fetched) but not its cycles.
-                counters.instructions += done + 1
-                counters.cycles += cyc_total
-                idx = done
-                counters.l1i_accesses += cum_ia[idx]
-                l1i.accesses += cum_ia[idx] - cum_evi[idx]
-                counters.itlb_accesses += idx + 1
-                itlb.accesses += idx + 1 - cum_evp[idx]
-                if fetch_heat is not None:
-                    for j in range(idx + 1):
-                        p = pcs[j]
-                        fetch_heat[p] = fetch_heat.get(p, 0) + sizes[j]
-                if done + 1 > tf.get(entry, 0):
-                    tf[entry] = done + 1
-                self.pc = pc
-                sync()
-                raise
-
-            # Flush block-batched accounting for the `done` completed steps.
-            counters.instructions += done
-            counters.cycles += cyc_total
-            if done:
-                idx = done - 1
-                counters.l1i_accesses += cum_ia[idx]
-                l1i.accesses += cum_ia[idx] - cum_evi[idx]
-                counters.itlb_accesses += done
-                itlb.accesses += done - cum_evp[idx]
+                done = pcs.index(pc) + 1 if bail else count
+                n_ins += done
+                n_ia += cum_ia[done - 1]
+                remaining -= done
                 if fetch_heat is not None:
                     for j in range(done):
                         p = pcs[j]
                         fetch_heat[p] = fetch_heat.get(p, 0) + sizes[j]
-                if done > tf.get(entry, 0):
-                    tf[entry] = done
-            remaining -= done
+                if done == total:
+                    tf[cur] = total
+                elif done > tf.get(cur, 0):
+                    tf[cur] = done
 
-            if executed_term:
-                if npc >= builtin_base and not self.halted:
-                    self.pc = npc
-                    sync()
-                    self._run_builtin(npc)  # may raise; sets self.pc on return
+                if k >= _K_TERM:
+                    if npc >= builtin_base and not halted:
+                        cur = npc
+                        self.pc = npc
+                        self._run_builtin(npc)  # may raise; sets self.pc
+                        cur = self.pc
+                    else:
+                        cur = npc
+                    if sampling:
+                        if s_cycles:
+                            acc += base_cpi + tc
+                            if fev is not None:
+                                acc += fx
+                        elif sampler.event == "instructions":
+                            acc += 1
+                        else:
+                            tb = counters.taken_branches
+                            acc += tb - last_taken
+                            last_taken = tb
+                        if skid_rem >= 0 or acc >= s_period:
+                            acc, skid_rem = self._sample_due(
+                                pc, acc, skid_rem)
+                    if halted:
+                        return self.exit_code
                 else:
-                    self.pc = npc
-                if sampler is not None:
-                    tick(term_pc, term_cyc)
-                if self.halted:
-                    sync()
-                    return self.exit_code
-            else:
-                self.pc = pcs[done] if done < total else fall_pc
+                    if sampling:
+                        acc, skid_rem, last_taken = tick_straight(
+                            pcs, done, sx, acc, skid_rem, last_taken)
+                        sx = []
+                        sxc = 0
+                    cur = pcs[done - 1] + sizes[done - 1]
+                if bail:
+                    break
+        finally:
+            self.pc = cur
+            self.flag_a = fa
+            self.flag_b = fb
+            if sampling:
+                self._sample_acc = acc
+                self._skid_remaining = skid_rem
+                self._last_taken = last_taken
+            counters.instructions += n_ins
+            counters.cycles += base_cpi * n_ins + xc
+            counters.itlb_accesses += n_ins
+            itlb.accesses += n_ins - it_calls
+            counters.l1i_accesses += n_ia
+            l1i.accesses += n_ia - il_calls
+            n_mem = n_rd + n_wr
+            counters.dtlb_accesses += n_mem
+            dtlb.accesses += n_mem - dt_calls
+            counters.l1d_accesses += n_mem
+            l1d.accesses += n_mem - dl_calls
+            counters.mem_reads += n_rd
+            counters.mem_writes += n_wr
+            counters.cond_branches += n_cond
+            counters.cond_taken += n_cond_taken
+            counters.uncond_branches += n_uncond
+            counters.branch_misses += n_miss
+            counters.calls += n_calls
+            counters.returns += n_rets
+            counters.indirect_branches += n_ind
 
-            if machine.code_dirty:
-                sync()
-                self._seed_decode_cache()
-                try:
-                    return ReferenceCPU.run(self, remaining)
-                except ExecutionLimitExceeded:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {max_instructions} instructions"
-                        f" at pc={self.pc:#x}") from None
+        # A store wrote code: continue on the reference loop.
+        self._seed_decode_cache()
+        try:
+            return ReferenceCPU.run(self, remaining)
+        except ExecutionLimitExceeded:
+            raise ExecutionLimitExceeded(
+                f"exceeded {max_instructions} instructions"
+                f" at pc={self.pc:#x}") from None
 
 
 def _prep_straight(op, insn):
     """(kind, a, b, c, d) for a straight-line op; None for terminators."""
     r = insn.regs
-    if op == Op.LOAD:
-        return (_K_LOAD, r[0], r[1], insn.disp, 0)
-    if op == Op.MOV_RI32 or op == Op.MOV_RI64:
-        return (_K_MOV_RI, r[0], insn.imm, 0, 0)
     if op == Op.MOV_RR:
         return (_K_MOV_RR, r[0], r[1], 0, 0)
-    if op == Op.ADD_RI:
-        return (_K_ADD_RI, r[0], insn.imm, 0, 0)
     if op == Op.ADD_RR:
         return (_K_ADD_RR, r[0], r[1], 0, 0)
-    if op == Op.STORE:
-        return (_K_STORE, r[0], insn.disp, r[1], 0)
-    if op == Op.CMP_RI:
-        return (_K_CMP_RI, r[0], insn.imm, 0, 0)
-    if op == Op.CMP_RR:
-        return (_K_CMP_RR, r[0], r[1], 0, 0)
-    if op == Op.SUB_RR:
-        return (_K_SUB_RR, r[0], r[1], 0, 0)
-    if op == Op.SUB_RI:
-        return (_K_SUB_RI, r[0], insn.imm, 0, 0)
-    if op == Op.LEA:
-        return (_K_LEA, r[0], r[1], insn.disp, 0)
-    if op == Op.LOADIDX:
-        return (_K_LOADIDX, r[0], r[1], r[2], insn.disp)
-    if op == Op.STOREIDX:
-        return (_K_STOREIDX, r[0], r[1], insn.disp, r[2])
+    if op == Op.MOV_RI32 or op == Op.MOV_RI64:
+        return (_K_MOV_RI, r[0], insn.imm, 0, 0)
     if op == Op.PUSH:
         return (_K_PUSH, r[0], 0, 0, 0)
     if op == Op.POP:
         return (_K_POP, r[0], 0, 0, 0)
-    if op == Op.IMUL_RR:
-        return (_K_IMUL_RR, r[0], r[1], 0, 0)
+    if op == Op.STORE:
+        return (_K_STORE, r[0], insn.disp, r[1], 0)
+    if op == Op.LOAD:
+        return (_K_LOAD, r[0], r[1], insn.disp, 0)
+    if op == Op.IMOD_RR:
+        return (_K_IMOD, r[0], r[1], 0, 0)
     if op == Op.IMUL_RI:
         return (_K_IMUL_RI, r[0], insn.imm, 0, 0)
-    if op == Op.AND_RR:
-        return (_K_AND_RR, r[0], r[1], 0, 0)
+    if op == Op.SAR_RI:
+        return (_K_SAR_RI, r[0], insn.imm & 63, 0, 0)
+    if op == Op.CMP_RI:
+        return (_K_CMP_RI, r[0], insn.imm, 0, 0)
     if op == Op.AND_RI:
         return (_K_AND_RI, r[0], insn.imm, 0, 0)
+    if op == Op.SUB_RI:
+        return (_K_SUB_RI, r[0], insn.imm, 0, 0)
+    if op == Op.XOR_RI:
+        return (_K_XOR_RI, r[0], insn.imm, 0, 0)
+    if op == Op.XOR_RR:
+        return (_K_XOR_RR, r[0], r[1], 0, 0)
+    if op == Op.SUB_RR:
+        return (_K_SUB_RR, r[0], r[1], 0, 0)
+    if op == Op.ADD_RI:
+        return (_K_ADD_RI, r[0], insn.imm, 0, 0)
+    if op == Op.CMP_RR:
+        return (_K_CMP_RR, r[0], r[1], 0, 0)
+    if op == Op.LEA:
+        return (_K_LEA, r[0], r[1], insn.disp, 0)
+    if op == Op.LOADIDX:
+        return (_K_LOADIDX, r[0], r[1], r[2], insn.disp)
+    if op == Op.LOAD_ABS:
+        return (_K_LOAD_ABS, r[0], insn.addr, 0, 0)
+    if op == Op.STOREIDX:
+        return (_K_STOREIDX, r[0], r[1], insn.disp, r[2])
+    if op == Op.STORE_ABS:
+        return (_K_STORE_ABS, insn.addr, r[0], 0, 0)
+    if op == Op.IMUL_RR:
+        return (_K_IMUL_RR, r[0], r[1], 0, 0)
+    if op == Op.AND_RR:
+        return (_K_AND_RR, r[0], r[1], 0, 0)
     if op == Op.OR_RR:
         return (_K_OR_RR, r[0], r[1], 0, 0)
     if op == Op.OR_RI:
         return (_K_OR_RI, r[0], insn.imm, 0, 0)
-    if op == Op.XOR_RR:
-        return (_K_XOR_RR, r[0], r[1], 0, 0)
-    if op == Op.XOR_RI:
-        return (_K_XOR_RI, r[0], insn.imm, 0, 0)
     if op == Op.SHL_RI:
-        return (_K_SHL_RI, r[0], insn.imm, 0, 0)
+        return (_K_SHL_RI, r[0], insn.imm & 63, 0, 0)
     if op == Op.SHR_RI:
-        return (_K_SHR_RI, r[0], insn.imm, 0, 0)
-    if op == Op.SAR_RI:
-        return (_K_SAR_RI, r[0], insn.imm, 0, 0)
+        # A zero count leaves an in-range register as it is.
+        if insn.imm & 63 == 0:
+            return (_K_NOP, 0, 0, 0, 0)
+        return (_K_SHR_RI, r[0], insn.imm & 63, 0, 0)
     if op == Op.SHL_RR:
         return (_K_SHL_RR, r[0], r[1], 0, 0)
     if op == Op.SHR_RR:
@@ -880,8 +1081,6 @@ def _prep_straight(op, insn):
         return (_K_NEG, r[0], 0, 0, 0)
     if op == Op.IDIV_RR:
         return (_K_IDIV, r[0], r[1], 0, 0)
-    if op == Op.IMOD_RR:
-        return (_K_IMOD, r[0], r[1], 0, 0)
     if op == Op.TEST_RR:
         return (_K_TEST_RR, r[0], r[1], 0, 0)
     if op == Op.TEST_RI:
@@ -889,10 +1088,6 @@ def _prep_straight(op, insn):
     if op == Op.SETCC:
         # Resolved once per trace, not per execution.
         return (_K_SETCC, r[0], int(CondCode(insn.imm)), 0, 0)
-    if op == Op.LOAD_ABS:
-        return (_K_LOAD_ABS, r[0], insn.addr, 0, 0)
-    if op == Op.STORE_ABS:
-        return (_K_STORE_ABS, insn.addr, r[0], 0, 0)
     if op == Op.OUT:
         return (_K_OUT, r[0], 0, 0, 0)
     if op == Op.NOP or op == Op.NOPN:
@@ -900,29 +1095,29 @@ def _prep_straight(op, insn):
     return None
 
 
-def _prep_term(op, insn, pc, npc, fev):
-    """Terminator step tuple ``(kind, a, b, pc, npc, fev)``."""
-    if op == Op.JCC_SHORT or op == Op.JCC_LONG:
-        return (_T_JCC, int(insn.cc), insn.target, pc, npc, fev)
-    if op == Op.JMP_SHORT or op == Op.JMP_NEAR:
-        return (_T_JMP, insn.target, 0, pc, npc, fev)
-    if op == Op.CALL:
-        return (_T_CALL, insn.target, 0, pc, npc, fev)
-    if op == Op.CALL_REG:
-        return (_T_CALL_REG, insn.regs[0], 0, pc, npc, fev)
-    if op == Op.CALL_MEM:
-        return (_T_CALL_MEM, insn.addr, 0, pc, npc, fev)
-    if op == Op.JMP_REG:
-        return (_T_JMP_REG, insn.regs[0], 0, pc, npc, fev)
-    if op == Op.JMP_MEM:
-        return (_T_JMP_MEM, insn.addr, 0, pc, npc, fev)
+def _prep_term(op, insn):
+    """``(kind, a, b)`` of a terminator."""
     if op == Op.RET or op == Op.REPZ_RET:
-        return (_T_RET, 0, 0, pc, npc, fev)
+        return (_T_RET, 0, 0)
+    if op == Op.CALL:
+        return (_T_CALL, insn.target, 0)
+    if op == Op.JCC_SHORT or op == Op.JCC_LONG:
+        return (_T_JCC, int(insn.cc), insn.target)
+    if op == Op.JMP_SHORT or op == Op.JMP_NEAR:
+        return (_T_JMP, insn.target, 0)
+    if op == Op.JMP_MEM:
+        return (_T_JMP_MEM, insn.addr, 0)
+    if op == Op.JMP_REG:
+        return (_T_JMP_REG, insn.regs[0], 0)
+    if op == Op.CALL_REG:
+        return (_T_CALL_REG, insn.regs[0], 0)
+    if op == Op.CALL_MEM:
+        return (_T_CALL_MEM, insn.addr, 0)
     if op == Op.HALT:
-        return (_T_HALT, 0, 0, pc, npc, fev)
+        return (_T_HALT, 0, 0)
     if op == Op.TRAP:
-        return (_T_TRAP, 0, 0, pc, npc, fev)
-    return (_T_UNKNOWN, op, 0, pc, npc, fev)
+        return (_T_TRAP, 0, 0)
+    return (_T_UNKNOWN, op, 0)
 
 
 def CPU(machine, config=None, sampler=None, engine=None):

@@ -18,17 +18,32 @@ class MachineFault(Exception):
 
 
 class Memory:
-    """Sparse paged byte-addressable memory."""
+    """Sparse paged byte-addressable memory.
+
+    ``pages`` maps a page index to its bytearray.  ``words`` maps the
+    same index to a ``memoryview(page).cast("q")``: the page's aligned
+    64-bit words in native byte order, sharing the page's buffer.  On a
+    little-endian host a word view reads and writes exactly what
+    :meth:`read_word`/:meth:`write_word` do at an 8-aligned address,
+    which lets the block engine index one word instead of slicing bytes.
+    """
 
     def __init__(self):
         self.pages = {}
+        self.words = {}
 
     def _page(self, page_index):
         page = self.pages.get(page_index)
         if page is None:
             page = bytearray(_PAGE_SIZE)
             self.pages[page_index] = page
+            self.words[page_index] = memoryview(page).cast("q")
         return page
+
+    def word_view(self, page_index):
+        """The int64 view of a page, allocating the page if absent."""
+        self._page(page_index)
+        return self.words[page_index]
 
     def write_bytes(self, addr, data):
         offset = addr & _PAGE_MASK

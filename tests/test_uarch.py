@@ -160,6 +160,23 @@ def test_memory_bytes_roundtrip():
     assert mem.read_bytes(0xFF0, len(blob)) == blob
 
 
+def test_memory_word_views_share_the_page():
+    """``words`` indexes the same bytes ``read_word``/``write_word``
+    slice: a write through either side is seen by the other."""
+    mem = Memory()
+    assert mem.words == {}
+    view = mem.word_view(0x3)           # allocates page 3
+    assert set(mem.pages) == set(mem.words) == {0x3}
+    view[5] = -(1 << 63)
+    assert mem.read_word(0x3000 + 40) == -(1 << 63)
+    mem.write_word(0x3000 + 48, (1 << 63) - 1)
+    assert view[6] == (1 << 63) - 1
+    mem.write_bytes(0x2FFC, bytes(range(1, 13)))    # straddles pages 2-3
+    assert mem.words[0x3][0] == int.from_bytes(
+        bytes(range(5, 13)), "little", signed=True)
+    assert mem.word_view(0x3) is view
+
+
 # -- CPU semantics ------------------------------------------------------------------
 
 
@@ -319,6 +336,38 @@ def test_uarch_config_custom():
     exe, _ = build_executable([("t", "func main() { return 0; }")])
     cpu2 = run_binary(exe, config=big_config)
     assert cpu2.exit_code == 0
+
+
+def test_uarch_config_base_cpi_must_be_whole():
+    """Both engines count whole cycles; 1.5 used to behave as 1.0."""
+    with pytest.raises(ValueError, match="base_cpi"):
+        UarchConfig(base_cpi=1.5)
+    assert UarchConfig(base_cpi=2.0).base_cpi == 2
+    assert UarchConfig().base_cpi == 1
+
+
+@pytest.mark.parametrize("field", [
+    "taken_branch_penalty", "mispredict_penalty", "l1_miss_penalty",
+    "llc_miss_penalty", "tlb_miss_penalty", "l2_hit_latency"])
+@pytest.mark.parametrize("value", [-1, 2.5, "3", None])
+def test_uarch_config_penalty_must_be_whole_cycles(field, value):
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", [
+    "ras_depth", "btb_entries", "itlb_entries", "dtlb_entries"])
+def test_uarch_config_sizes_at_least_one(field):
+    """A zero-entry return stack or BTB crashed mid-run with
+    ``IndexError: pop from empty list``."""
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: 1.0})
+    cpu = run_src("func f(x) { return x + 1; } "
+                  "func main() { out f(1); return 0; }",
+                  config=UarchConfig(**{field: 1}))
+    assert cpu.output == [2]
 
 
 def test_l2_level_reduces_cycles():
