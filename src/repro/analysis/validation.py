@@ -37,10 +37,9 @@ def validate_translation(context, out, fragments, skip=()):
     """Match every emitted function against its IR; returns Findings."""
     if not fragments:
         return []
-    from repro.core.emitter import COLD_SUFFIX
-    from repro.core.rewriter import _Resolver
+    from repro.core.emitter import COLD_SUFFIX, SymbolResolver
 
-    resolver = _Resolver(context, fragments)
+    resolver = SymbolResolver(context, fragments)
     findings = []
     for name, func in context.functions.items():
         if name in skip or func.is_folded or not func.is_simple \
@@ -55,12 +54,6 @@ def validate_translation(context, out, fragments, skip=()):
         if len(findings) > 100:
             break  # enough evidence; don't drown the report
     return findings
-
-
-def block_semantic_hash(insns, normalize):
-    """Order-sensitive hash of a normalized instruction sequence."""
-    return hash(tuple(normalize(insn) for insn in insns
-                      if not insn.is_nop))
 
 
 def _validate_function(func, out, hot, cold, resolver):
@@ -282,7 +275,7 @@ class _IRNormalizer:
         }
 
     def _sym_value(self, sym):
-        value = self.resolver.resolve_or_none(sym.name)
+        value = self.resolver.address(sym.name)
         if value is None:
             return _MISSING
         addend = sym.addend

@@ -20,10 +20,16 @@ from repro.belf.constants import (
     STACK_SIZE,
     BUILTIN_BASE,
     PAGE_SIZE,
+    FUNCTION_ALIGN,
+    TEXT_COLD,
 )
-from repro.belf.section import Section
+from repro.belf.section import Section, align_up
 from repro.belf.symbol import Symbol
-from repro.belf.relocation import Relocation
+from repro.belf.relocation import (
+    Relocation,
+    RelocationOverflow,
+    apply_relocation,
+)
 from repro.belf.frameinfo import FrameRecord, CallSiteRecord
 from repro.belf.linetable import LineTable, LineEntry
 from repro.belf.binary import Binary
@@ -40,9 +46,14 @@ __all__ = [
     "STACK_SIZE",
     "BUILTIN_BASE",
     "PAGE_SIZE",
+    "FUNCTION_ALIGN",
+    "TEXT_COLD",
     "Section",
+    "align_up",
     "Symbol",
     "Relocation",
+    "RelocationOverflow",
+    "apply_relocation",
     "FrameRecord",
     "CallSiteRecord",
     "LineTable",

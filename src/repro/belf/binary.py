@@ -112,10 +112,6 @@ class Binary:
                 return sym
         return None
 
-    def defined_names(self):
-        """Set of link names defined by this object (section != None)."""
-        return {s.link_name() for s in self.symbols if s.section is not None}
-
     # -- misc ---------------------------------------------------------------
 
     def content_hash(self):

@@ -57,6 +57,9 @@ BUILTIN_BASE = 0xF0000000
 #: Virtual memory page size used by the TLB models.
 PAGE_SIZE = 4096
 
+#: Start alignment of every function the linker or BOLT places in text.
+FUNCTION_ALIGN = 16
+
 #: Section names with conventional roles.
 TEXT = ".text"
 TEXT_COLD = ".text.cold"

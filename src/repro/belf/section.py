@@ -3,6 +3,11 @@
 from repro.belf.constants import SectionType, SectionFlag
 
 
+def align_up(value, alignment):
+    """``value`` rounded up to a multiple of ``alignment`` (a power of 2)."""
+    return (value + alignment - 1) & ~(alignment - 1)
+
+
 class Section:
     """A named byte region, optionally mapped at a virtual address.
 

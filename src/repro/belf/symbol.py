@@ -33,10 +33,6 @@ class Symbol:
         self.module = module
 
     @property
-    def is_function(self):
-        return self.type == SymbolType.FUNC
-
-    @property
     def is_local(self):
         return self.bind == SymbolBind.LOCAL
 

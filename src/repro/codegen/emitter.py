@@ -28,8 +28,9 @@ from repro.belf import (
 from repro.isa import Instruction, Op, encode, instruction_size, negate_cc
 from repro.isa.encoding import branch_offset_fits_short
 
-#: Byte offset of the relocatable operand field for each opcode.
-_SYM_SLOT = {
+#: Byte offset and relocation type of the relocatable operand field of
+#: each opcode that can carry a symbol.
+SYM_SLOT = {
     Op.CALL: (1, RelocType.PC32),
     Op.JMP_NEAR: (1, RelocType.PC32),
     Op.JCC_LONG: (2, RelocType.PC32),
@@ -159,7 +160,7 @@ def assemble_function(mf, normalize=True):
                     CallSiteRecord(offset, offset + insn.size, offsets[lp]))
 
             if insn.sym is not None:
-                slot, rtype = _SYM_SLOT[insn.op]
+                slot, rtype = SYM_SLOT[insn.op]
                 image.relocations.append(
                     (offset + slot, rtype, insn.sym.name, insn.sym.addend))
                 code += encode(insn, offset)

@@ -45,8 +45,5 @@ class MachineFunction:
                 return block
         raise KeyError(label)
 
-    def insn_count(self):
-        return sum(len(b.insns) for b in self.blocks)
-
     def __repr__(self):
         return f"<MachineFunction {self.link_name} blocks={len(self.blocks)}>"

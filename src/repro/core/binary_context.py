@@ -124,10 +124,6 @@ class BinaryContext:
     def is_plt_stub(self, address):
         return address in self.plt_map
 
-    def plt_target(self, address):
-        """Final target address behind a PLT stub."""
-        return self.plt_map[address][1]
-
     def is_builtin(self, address):
         return address in self._builtin_addrs
 
@@ -140,9 +136,3 @@ class BinaryContext:
     def simple_functions(self):
         return [f for f in self.functions.values()
                 if f.is_simple and not f.is_folded]
-
-    def get_function_containing(self, address):
-        sym = self.function_symbol_at(address)
-        if sym is None:
-            return None
-        return self.functions.get(sym.link_name())

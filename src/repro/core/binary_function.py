@@ -54,9 +54,6 @@ class BinaryBasicBlock:
             return self.insns[-1]
         return None
 
-    def edge_count(self, label):
-        return self.edge_counts.get(label, 0)
-
     def set_edge(self, label, count=0, mispreds=0):
         if label not in self.successors:
             self.successors.append(label)
@@ -140,12 +137,13 @@ class BinaryFunction:
         self.is_simple = False
         self.simple_violation = reason
 
-    def total_size(self):
-        """Current code size across all blocks (post-transform)."""
-        return sum(block.size for block in self.blocks.values())
-
-    def num_instructions(self):
-        return sum(len(block.insns) for block in self.blocks.values())
+    def survivor(self):
+        """The function whose code this one's symbol names: itself, or
+        the end of its chain of ICF folds."""
+        func = self
+        while func.is_folded:
+            func = func.folded_into
+        return func
 
     def hot_blocks(self, threshold=1):
         return [b for b in self.blocks.values() if b.exec_count >= threshold]

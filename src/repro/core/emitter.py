@@ -7,9 +7,12 @@ references (hot part <-> split cold part) are kept symbolic and
 resolved once every fragment has an address.
 """
 
-from repro.codegen.emitter import assemble_function
+from repro.belf import SymbolType
+from repro.codegen.emitter import SYM_SLOT, FunctionImage, assemble_function
 from repro.codegen.machine import MachineBlock, MachineFunction
+from repro.core.cfg_builder import ABS_SYMBOL
 from repro.isa import Op, SymRef
+from repro.linker import BUILTINS
 
 COLD_SUFFIX = ".cold.0"
 
@@ -31,15 +34,33 @@ class Fragment:
         return len(self.image.code)
 
 
-class _RawImage:
-    """FunctionImage-alike for non-simple functions kept byte-identical."""
+class SymbolResolver:
+    """Symbol addresses once every fragment is placed: a fragment's
+    address, an ICF-folded function's survivor, a data symbol of the
+    input binary, or a simulator builtin."""
 
-    def __init__(self, code):
-        self.code = code
-        self.relocations = []
-        self.labels = {}
-        self.line_rows = []
-        self.callsites = []
+    def __init__(self, context, fragments):
+        self.context = context
+        self.fragments = fragments
+        self.data_symbols = {
+            sym.link_name(): sym.value
+            for sym in context.binary.symbols
+            if sym.type != SymbolType.FUNC
+        }
+
+    def address(self, name):
+        """The address of ``name``, or None when nothing defines it."""
+        if name == ABS_SYMBOL:
+            return 0
+        frag = self.fragments.get(name)
+        if frag is not None:
+            return frag.address
+        func = self.context.functions.get(name)
+        if func is not None and func.is_folded:
+            return self.fragments[func.survivor().name].address
+        if name in self.data_symbols:
+            return self.data_symbols[name]
+        return BUILTINS.get(name)
 
 
 def emit_function(func, options):
@@ -64,28 +85,22 @@ def _emit_raw(func):
     """Byte-identical emission for non-simple functions.
 
     External control transfers were symbolized at disassembly; they are
-    re-emitted as relocations against the new addresses.  Everything
-    else keeps its original bytes (so intra-function offsets — which
-    unresolved indirect jumps may depend on — are preserved).
+    re-emitted as relocations (field and type from the assembler's
+    ``SYM_SLOT``) against the new addresses.  Everything else keeps its
+    original bytes (so intra-function offsets — which unresolved
+    indirect jumps may depend on — are preserved).
     """
-    image = _RawImage(func.raw_bytes)
+    image = FunctionImage(func.name)
+    image.code = func.raw_bytes
     block = next(iter(func.blocks.values()), None)
     insns = block.insns if block is not None else []
     for insn in insns:
-        if insn.sym is None:
+        if insn.sym is None or insn.op not in SYM_SLOT:
             continue
-        offset = insn.address - func.address
-        if insn.op in (Op.CALL, Op.JMP_NEAR):
-            image.relocations.append(
-                (offset + 1, "pc32", insn.sym.name, insn.sym.addend))
-        elif insn.op == Op.JCC_LONG:
-            image.relocations.append(
-                (offset + 2, "pc32", insn.sym.name, insn.sym.addend))
-        elif insn.op == Op.MOV_RI64:
-            image.relocations.append(
-                (offset + 2, "abs64", insn.sym.name, insn.sym.addend))
-    fragment = Fragment(func.name, func, image, raw=True)
-    return fragment
+        slot, rtype = SYM_SLOT[insn.op]
+        image.relocations.append((insn.address - func.address + slot, rtype,
+                                  insn.sym.name, insn.sym.addend))
+    return Fragment(func.name, func, image, raw=True)
 
 
 def _emit_fragment(func, name, blocks, options, is_cold, other=None):

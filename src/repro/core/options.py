@@ -38,8 +38,6 @@ class BoltOptions:
         use_mcf=True,                   # non-LBR edge inference via MCF
         hot_threshold=1,                # min count for a block to be hot
         dyno_stats=True,
-        align_functions=16,
-        cold_section_name=".text.cold",
         strict=False,                   # warnings become hard failures
         validate_output="structural",   # none | structural | static | execute
         validate_inputs=None,           # smoke inputs for "execute"
@@ -78,8 +76,6 @@ class BoltOptions:
         self.use_mcf = use_mcf
         self.hot_threshold = hot_threshold
         self.dyno_stats = dyno_stats
-        self.align_functions = align_functions
-        self.cold_section_name = cold_section_name
         self.strict = strict
         self.validate_output = validate_output
         self.validate_inputs = validate_inputs

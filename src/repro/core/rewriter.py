@@ -20,21 +20,30 @@ from repro.belf import (
     CallSiteRecord,
     FrameRecord,
     LineTable,
+    RelocationOverflow,
     RelocType,
     Section,
     SectionFlag,
     Symbol,
     SymbolBind,
     SymbolType,
+    FUNCTION_ALIGN,
     PAGE_SIZE,
+    TEXT_COLD,
+    align_up,
+    apply_relocation,
 )
-from repro.linker import BUILTINS
 from repro.core.binary_context import BinaryContext
-from repro.core.cfg_builder import ABS_SYMBOL, build_all_functions
+from repro.core.cfg_builder import build_all_functions
 from repro.core.diagnostics import Severity
 from repro.core.discovery import discover_functions
 from repro.core.dyno_stats import compute_dyno_stats
-from repro.core.emitter import COLD_SUFFIX, Fragment, emit_function, _emit_raw
+from repro.core.emitter import (
+    COLD_SUFFIX,
+    SymbolResolver,
+    _emit_raw,
+    emit_function,
+)
 from repro.core.options import BoltOptions
 from repro.core.passes.base import build_pipeline
 from repro.core.profile_attach import attach_profile
@@ -238,7 +247,11 @@ def _optimize_once(binary, profile, options):
 
     result = RewriteResult(None, context, pass_stats, dyno_before, dyno_after)
     with _phase(timing, "emit and link"):
-        result.binary = _rewrite(context, result)
+        try:
+            result.binary = _rewrite(context, result)
+        except RelocationOverflow as exc:
+            raise RewriteError(f"{exc.type.name} overflow patching at "
+                               f"{exc.place:#x}") from exc
     if timing is not None:
         timing.total_seconds = time.perf_counter() - started
     result.timing = timing
@@ -342,18 +355,15 @@ def _rewrite(context, result):
 
     # 2. Place fragments.
     old_text = binary.get_section(".text")
-    cold_name = options.cold_section_name
     if relocs_mode:
-        hot_addr_end = _place_relocations_mode(context, binary, fragments,
-                                               frag_lists, options)
+        hot_addr_end = _place_relocations_mode(context, binary, frag_lists)
     else:
-        hot_addr_end = _place_in_place_mode(context, binary, fragments,
-                                            frag_lists)
+        hot_addr_end = _place_in_place_mode(binary, frag_lists)
     cold_base = _next_free_address(binary, extra_end=hot_addr_end)
     offset = 0
     for frag in fragments.values():
         if frag.is_cold:
-            offset = _align(offset, options.align_functions)
+            offset = align_up(offset, FUNCTION_ALIGN)
             frag.address = cold_base + offset
             offset += frag.size
     cold_size = offset
@@ -386,7 +396,7 @@ def _rewrite(context, result):
 
     cold = None
     if cold_size:
-        cold = Section(cold_name, flags=SectionFlag.ALLOC | SectionFlag.EXEC,
+        cold = Section(TEXT_COLD, flags=SectionFlag.ALLOC | SectionFlag.EXEC,
                        addr=cold_base, data=b"\x01" * cold_size,
                        align=PAGE_SIZE)
         out.add_section(cold)
@@ -407,16 +417,19 @@ def _rewrite(context, result):
                     b"\x01" * slack)
 
     # 5. Resolve relocations in emitted code.
-    resolver = _Resolver(context, fragments)
+    resolver = SymbolResolver(context, fragments)
     for frag in fragments.values():
         section = section_for(frag)
         base = frag.address - section.addr
         for offset, rtype, symbol, addend in frag.image.relocations:
             if isinstance(addend, tuple) and addend and addend[0] == "label":
                 addend = fragments[symbol].image.labels[addend[1]]
-            value = resolver.resolve(symbol) + addend
-            _patch(section, base + offset, rtype, value,
-                   frag.address + offset)
+            target = resolver.address(symbol)
+            if target is None:
+                raise RewriteError(
+                    f"unresolved symbol {symbol!r} during rewrite")
+            apply_relocation(section.data, base + offset, rtype,
+                             target + addend, frag.address + offset)
 
     # 6. Patch discovered jump tables of simple functions.  With
     #    -jump-tables=move, hot functions' tables are relocated together
@@ -464,9 +477,10 @@ def _rewrite(context, result):
             else:
                 section, base = out.get_section(table.section), table.address
             for i, label in enumerate(table.entries):
-                address = _label_address(fragments, func, label)
-                off = base + 8 * i - section.addr
-                section.data[off : off + 8] = address.to_bytes(8, "little")
+                apply_relocation(section.data, base + 8 * i - section.addr,
+                                 RelocType.ABS64,
+                                 _label_address(fragments, func, label),
+                                 base + 8 * i)
 
     # 7. Apply retained input relocations against moved code (reloc mode).
     if relocs_mode:
@@ -476,13 +490,13 @@ def _rewrite(context, result):
                 continue
             if (reloc.section, reloc.offset) in table_slots:
                 continue
-            target = resolver.resolve_or_none(reloc.symbol)
+            target = resolver.address(reloc.symbol)
             if target is None:
                 continue
             out_section = out.get_section(reloc.section)
-            _patch(out_section, reloc.offset, reloc.type,
-                   target + reloc.addend,
-                   out_section.addr + reloc.offset)
+            apply_relocation(out_section.data, reloc.offset, reloc.type,
+                             target + reloc.addend,
+                             out_section.addr + reloc.offset)
 
     # 8. Symbols (with moved jump tables re-pointed at .rodata.hot).
     _emit_symbols(context, out, fragments)
@@ -506,9 +520,7 @@ def _rewrite(context, result):
     entry_sym = context.function_symbol_at(binary.entry)
     if entry_sym is None:
         raise RewriteError("entry point not inside any function")
-    entry_func = context.functions[entry_sym.link_name()]
-    while entry_func.is_folded:
-        entry_func = entry_func.folded_into
+    entry_func = context.functions[entry_sym.link_name()].survivor()
     out.entry = fragments[entry_func.name].address
 
     result.hot_text_size = sum(
@@ -518,19 +530,15 @@ def _rewrite(context, result):
     return out
 
 
-def _align(value, alignment):
-    return (value + alignment - 1) & ~(alignment - 1)
-
-
 def _next_free_address(binary, extra_end=0):
     end = extra_end
     for section in binary.sections.values():
         if section.is_alloc:
             end = max(end, section.end)
-    return _align(end, PAGE_SIZE)
+    return align_up(end, PAGE_SIZE)
 
 
-def _place_relocations_mode(context, binary, fragments, frag_lists, options):
+def _place_relocations_mode(context, binary, frag_lists):
     """Sequential placement in (HFSort) order; returns the end address."""
     old_text = binary.get_section(".text")
     order = context.function_order
@@ -539,7 +547,7 @@ def _place_relocations_mode(context, binary, fragments, frag_lists, options):
         rank = {name: i for i, name in enumerate(order)}
         names.sort(key=lambda n: rank.get(n, len(rank)))
     hot_total = sum(
-        _align(f.size, options.align_functions)
+        align_up(f.size, FUNCTION_ALIGN)
         for frags in frag_lists.values() for f in frags if not f.is_cold)
     plt = binary.get_section(".plt")
     capacity = (plt.addr if plt is not None else 1 << 62) - old_text.addr
@@ -558,13 +566,13 @@ def _place_relocations_mode(context, binary, fragments, frag_lists, options):
         for frag in frag_lists[name]:
             if frag.is_cold:
                 continue
-            offset = _align(offset, options.align_functions)
+            offset = align_up(offset, FUNCTION_ALIGN)
             frag.address = base + offset
             offset += frag.size
     return base + offset
 
 
-def _place_in_place_mode(context, binary, fragments, frag_lists):
+def _place_in_place_mode(binary, frag_lists):
     end = binary.get_section(".text").end
     for frags in frag_lists.values():
         for frag in frags:
@@ -573,63 +581,11 @@ def _place_in_place_mode(context, binary, fragments, frag_lists):
     return end
 
 
-class _Resolver:
-    def __init__(self, context, fragments):
-        self.context = context
-        self.fragments = fragments
-        self.data_symbols = {
-            sym.link_name(): sym.value
-            for sym in context.binary.symbols
-            if sym.type != SymbolType.FUNC
-        }
-
-    def resolve_or_none(self, name):
-        if name == ABS_SYMBOL:
-            return 0
-        frag = self.fragments.get(name)
-        if frag is not None:
-            return frag.address
-        func = self.context.functions.get(name)
-        if func is not None and func.is_folded:
-            target = func.folded_into
-            while target.is_folded:
-                target = target.folded_into
-            return self.fragments[target.name].address
-        if name in self.data_symbols:
-            return self.data_symbols[name]
-        if name in BUILTINS:
-            return BUILTINS[name]
-        return None
-
-    def resolve(self, name):
-        value = self.resolve_or_none(name)
-        if value is None:
-            raise RewriteError(f"unresolved symbol {name!r} during rewrite")
-        return value
-
-
-def _patch(section, offset, rtype, value, place):
-    if rtype in (RelocType.ABS64, "abs64"):
-        section.data[offset : offset + 8] = (value & ((1 << 64) - 1)).to_bytes(
-            8, "little")
-    elif rtype in (RelocType.ABS32, "abs32"):
-        if not 0 <= value < 1 << 32:
-            raise RewriteError(f"ABS32 overflow patching at {place:#x}")
-        section.data[offset : offset + 4] = value.to_bytes(4, "little")
-    else:  # PC32
-        rel = value - (place + 4)
-        if not -(1 << 31) <= rel < 1 << 31:
-            raise RewriteError(f"PC32 overflow patching at {place:#x}")
-        section.data[offset : offset + 4] = rel.to_bytes(4, "little",
-                                                         signed=True)
-
-
 def _retarget_table_base(fragments, func, table, new_addr):
     """Patch the dispatch sequence's base materialization (MOV_RI32 with
     the table's old address) to the relocated table, in every fragment
     of the owning function — directly in the emitted bytes."""
     from repro.isa import Op
-    from repro.core.emitter import COLD_SUFFIX
 
     for frag_name in (func.name, func.name + COLD_SUFFIX):
         frag = fragments.get(frag_name)
@@ -641,7 +597,8 @@ def _retarget_table_base(fragments, func, table, new_addr):
             if insn.op == Op.MOV_RI32 and insn.imm == table.address \
                     and insn.sym is None:
                 slot = base + offset + 2
-                section.data[slot : slot + 4] = new_addr.to_bytes(4, "little")
+                apply_relocation(section.data, slot, RelocType.ABS32,
+                                 new_addr, section.addr + slot)
 
 
 def _label_address(fragments, func, label):
@@ -666,10 +623,7 @@ def _emit_symbols(context, out, fragments):
                                   type=sym.type, bind=sym.bind,
                                   section=sym.section, module=sym.module))
             continue
-        target = func
-        while target.is_folded:
-            target = target.folded_into
-        frag = fragments[target.name]
+        frag = fragments[func.survivor().name]
         out.add_symbol(Symbol(sym.name, value=frag.address, size=frag.size,
                               type=SymbolType.FUNC, bind=sym.bind,
                               section=".text", module=sym.module))
@@ -678,17 +632,14 @@ def _emit_symbols(context, out, fragments):
             out.add_symbol(Symbol(frag.name, value=frag.address,
                                   size=frag.size, type=SymbolType.FUNC,
                                   bind=SymbolBind.LOCAL,
-                                  section=context.options.cold_section_name))
+                                  section=TEXT_COLD))
 
 
 def _emit_frame_records(context, out, fragments):
     aliases = []
     for name, func in context.functions.items():
         if func.is_folded:
-            target = func.folded_into
-            while target.is_folded:
-                target = target.folded_into
-            aliases.append((name, target.name))
+            aliases.append((name, func.survivor().name))
             continue
         if func.frame_record is None:
             continue

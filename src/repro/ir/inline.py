@@ -31,10 +31,6 @@ def _func_size(func):
     return sum(len(b.insts) + 1 for b in func.blocks.values())
 
 
-def _has_landingpad(func):
-    return any(b.is_landing_pad for b in func.blocks.values())
-
-
 def _clone_into(caller, callee, call_inst, call_block_name, cont_name, scale):
     """Clone ``callee``'s CFG into ``caller``; returns cloned entry name."""
     vreg_base = caller.next_vreg

@@ -242,9 +242,6 @@ class IRFunction:
                 preds[succ].append(name)
         return preds
 
-    def block_order(self):
-        return list(self.blocks)
-
     def reorder(self, order):
         """Set a new block order; must be a permutation with entry first."""
         assert set(order) == set(self.blocks), "order must cover all blocks"

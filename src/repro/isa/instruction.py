@@ -149,10 +149,6 @@ class Instruction:
     # -- classification --------------------------------------------------
 
     @property
-    def is_uncond_branch(self):
-        return self.op in _UNCOND_BRANCHES
-
-    @property
     def is_cond_branch(self):
         return self.op in _COND_BRANCHES
 

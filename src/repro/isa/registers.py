@@ -46,17 +46,7 @@ CALLER_SAVED = (RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11)
 #: Registers the register allocator may hand out (excludes rsp/rbp).
 ALLOCATABLE = (RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11, RBX, R12, R13, R14, R15)
 
-_NAME_TO_REG = {name: idx for idx, name in enumerate(REG_NAMES)}
-
 
 def reg_name(reg):
     """Return the canonical name for a register index."""
     return REG_NAMES[reg]
-
-
-def reg_from_name(name):
-    """Return the register index for a canonical name.
-
-    Raises ``KeyError`` for unknown names.
-    """
-    return _NAME_TO_REG[name]

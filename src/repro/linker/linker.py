@@ -19,6 +19,8 @@ Feature set mirrors what the BOLT paper assumes of BFD/Gold:
 from repro.belf import (
     Binary,
     LineTable,
+    Relocation,
+    RelocationOverflow,
     RelocType,
     Section,
     SectionFlag,
@@ -28,7 +30,10 @@ from repro.belf import (
     SymbolType,
     TEXT_BASE,
     BUILTIN_BASE,
+    FUNCTION_ALIGN,
     PAGE_SIZE,
+    align_up,
+    apply_relocation,
 )
 from repro.isa import Instruction, Op, encode
 
@@ -40,10 +45,6 @@ BUILTINS = {
 
 class LinkError(Exception):
     pass
-
-
-def _align(value, alignment):
-    return (value + alignment - 1) & ~(alignment - 1)
 
 
 class _InputFunc:
@@ -102,23 +103,17 @@ def link(
     text = Section(".text", flags=SectionFlag.ALLOC | SectionFlag.EXEC,
                    addr=text_base, align=PAGE_SIZE)
     out.add_section(text)
-    func_addr = {}
     out_relocs = []
     for func in order:
-        text.pad_to(16)
+        text.pad_to(FUNCTION_ALIGN)
         offset = len(text.data)
         func.address = text.addr + offset
-        func_addr[func.link_name] = func.address
         text.data += func.section.data
         for reloc in func.relocs:
             out_relocs.append((text, offset + reloc.offset, reloc))
     for func in funcs.values():
         if func.folded_into is not None:
-            survivor = func.folded_into
-            while survivor.folded_into is not None:
-                survivor = survivor.folded_into
-            func.address = survivor.address
-            func_addr[func.link_name] = func.address
+            func.address = func.folded_into.address
 
     # PLT-routed symbols: builtins plus PIC-library exports.
     plt_targets = {}
@@ -128,24 +123,23 @@ def link(
     for builtin, address in BUILTINS.items():
         plt_targets[builtin] = address
 
-    plt, got, plt_stub_addr, got_entry_addr = _build_plt(
-        out, text, plt_targets, emit_relocs=emit_relocs)
+    got, plt_stub_addr = _build_plt(out, text, plt_targets,
+                                    emit_relocs=emit_relocs)
 
-    data_base = _place_data_sections(out, data_inputs, got)
+    placement = _place_data_sections(out, data_inputs, got)
 
-    symtab = _build_symbol_table(out, funcs, data_inputs, func_addr)
+    symtab = _build_symbol_table(out, funcs, data_inputs, placement)
 
     resolver = _Resolver(symtab, plt_stub_addr, BUILTINS)
-    _apply_relocations(out, out_relocs, data_inputs, resolver,
+    _apply_relocations(out, out_relocs, data_inputs, placement, resolver,
                        keep=emit_relocs)
 
-    _merge_metadata(out, all_objects, funcs, func_addr)
+    _merge_metadata(out, all_objects, funcs)
 
     entry_addr = resolver.resolve(entry)
     if entry_addr is None:
         raise LinkError(f"undefined entry symbol {entry!r}")
     out.entry = entry_addr
-    del out._data_placement
     return out
 
 
@@ -171,22 +165,17 @@ def _collect_inputs(all_objects):
 
 
 def _fold_identical(funcs):
-    """Linker ICF: deduplicate functions with identical bodies+relocs."""
+    """Linker ICF: deduplicate functions with identical bodies+relocs.
+
+    The key is a function's own bytes and relocations, which folding
+    changes for no function, so one sweep reaches the fixpoint and every
+    ``folded_into`` is itself a survivor.
+    """
     by_key = {}
-    changed = True
-    while changed:
-        changed = False
-        by_key.clear()
-        for func in funcs.values():
-            if func.folded_into is not None:
-                continue
-            key = func.icf_key()
-            survivor = by_key.get(key)
-            if survivor is None:
-                by_key[key] = func
-            else:
-                func.folded_into = survivor
-                changed = True
+    for func in funcs.values():
+        survivor = by_key.setdefault(func.icf_key(), func)
+        if survivor is not func:
+            func.folded_into = survivor
 
 
 def _layout_order(funcs, function_order):
@@ -200,17 +189,15 @@ def _layout_order(funcs, function_order):
 
 
 def _build_plt(out, text, plt_targets, emit_relocs=False):
-    """Create .plt stubs and .got entries; returns maps by link name."""
-    from repro.belf import Relocation
-
+    """Create .plt stubs and .got entries; returns the .got section and
+    the stub address of each link name."""
     plt = Section(".plt", flags=SectionFlag.ALLOC | SectionFlag.EXEC,
-                  addr=_align(text.end, 16), align=16)
+                  addr=align_up(text.end, 16), align=16)
     got = Section(".got", flags=SectionFlag.ALLOC | SectionFlag.WRITE, align=8)
     plt_stub_addr = {}
-    got_entry_addr = {}
     # .got is placed immediately after .plt so all addresses are known
     # in a single pass.
-    got.addr = _align(plt.addr + 6 * len(plt_targets), 8)
+    got.addr = align_up(plt.addr + 6 * len(plt_targets), 8)
     for i, (link_name, target) in enumerate(sorted(plt_targets.items())):
         stub_offset = len(plt.data)
         stub_addr = plt.addr + stub_offset
@@ -219,7 +206,6 @@ def _build_plt(out, text, plt_targets, emit_relocs=False):
         plt.data += encode(insn, stub_addr)
         got.data += target.to_bytes(8, "little")
         plt_stub_addr[link_name] = stub_addr
-        got_entry_addr[link_name] = got_addr
         if emit_relocs:
             # A post-link rewriter moving this function must be able to
             # retarget the GOT entry.
@@ -227,12 +213,15 @@ def _build_plt(out, text, plt_targets, emit_relocs=False):
                 Relocation(".got", 8 * i, RelocType.ABS64, link_name, 0))
     out.add_section(plt)
     out.add_section(got)
-    return plt, got, plt_stub_addr, got_entry_addr
+    return got, plt_stub_addr
 
 
 def _place_data_sections(out, data_inputs, got):
-    """Merge input data sections into .rodata/.data/.bss after .got."""
-    base = _align(got.end, PAGE_SIZE)
+    """Merge input data sections into .rodata/.data/.bss after .got.
+
+    Returns the placement map: (obj id, input section name) ->
+    (output section, offset).
+    """
     merged = {}
     for kind, flags, stype in (
         (".rodata", SectionFlag.ALLOC, SectionType.PROGBITS),
@@ -244,12 +233,11 @@ def _place_data_sections(out, data_inputs, got):
         merged[kind] = section
         out.add_section(section)
 
-    #: (obj id, input section name) -> (output section, offset)
     placement = {}
     for obj, section in data_inputs:
         if section.name == ".bss" or section.type == SectionType.NOBITS:
             target = merged[".bss"]
-            offset = _align(target.size, section.align)
+            offset = align_up(target.size, section.align)
             target.size = offset + section.size
         elif section.name.startswith(".rodata"):
             target = merged[".rodata"]
@@ -261,18 +249,16 @@ def _place_data_sections(out, data_inputs, got):
             offset = target.append(bytes(section.data))
         placement[(id(obj), section.name)] = (target, offset)
 
-    addr = base
+    addr = align_up(got.end, PAGE_SIZE)
     for kind in (".rodata", ".data", ".bss"):
         section = merged[kind]
         section.addr = addr
-        addr = _align(addr + section.size, PAGE_SIZE)
-    out._data_placement = placement
-    return base
+        addr = align_up(addr + section.size, PAGE_SIZE)
+    return placement
 
 
-def _build_symbol_table(out, funcs, data_inputs, func_addr):
+def _build_symbol_table(out, funcs, data_inputs, placement):
     symtab = {}
-    placement = out._data_placement
     for func in funcs.values():
         address = func.address
         out.add_symbol(Symbol(
@@ -313,27 +299,19 @@ class _Resolver:
         return None
 
 
-def _apply_relocations(out, text_relocs, data_inputs, resolver, keep):
-    from repro.belf import Relocation
-
+def _apply_relocations(out, text_relocs, data_inputs, placement, resolver,
+                       keep):
     def apply_one(section, offset, reloc):
         target = resolver.resolve(
             reloc.symbol, for_call=(reloc.type == RelocType.PC32))
         if target is None:
             raise LinkError(f"undefined symbol {reloc.symbol!r}")
-        value = target + reloc.addend
-        place = section.addr + offset
-        if reloc.type == RelocType.ABS64:
-            section.data[offset:offset + 8] = value.to_bytes(8, "little")
-        elif reloc.type == RelocType.ABS32:
-            if not 0 <= value < 1 << 32:
-                raise LinkError(f"ABS32 overflow for {reloc.symbol}")
-            section.data[offset:offset + 4] = value.to_bytes(4, "little")
-        else:  # PC32
-            rel = value - (place + 4)
-            if not -(1 << 31) <= rel < 1 << 31:
-                raise LinkError(f"PC32 overflow for {reloc.symbol}")
-            section.data[offset:offset + 4] = rel.to_bytes(4, "little", signed=True)
+        try:
+            apply_relocation(section.data, offset, reloc.type,
+                             target + reloc.addend, section.addr + offset)
+        except RelocationOverflow as exc:
+            raise LinkError(
+                f"{reloc.type.name} overflow for {reloc.symbol}") from exc
         if keep:
             out.relocations.append(
                 Relocation(section.name, offset, reloc.type, reloc.symbol,
@@ -341,7 +319,6 @@ def _apply_relocations(out, text_relocs, data_inputs, resolver, keep):
 
     for section, offset, reloc in text_relocs:
         apply_one(section, offset, reloc)
-    placement = out._data_placement
     for obj, section in data_inputs:
         if section.type == SectionType.NOBITS:
             continue
@@ -352,7 +329,7 @@ def _apply_relocations(out, text_relocs, data_inputs, resolver, keep):
             apply_one(target, base_offset + reloc.offset, reloc)
 
 
-def _merge_metadata(out, all_objects, funcs, func_addr):
+def _merge_metadata(out, all_objects, funcs):
     table = LineTable()
     for obj in all_objects:
         for link_name, rows in obj.func_line_tables.items():
@@ -371,8 +348,6 @@ def _merge_metadata(out, all_objects, funcs, func_addr):
                 # the unwinder may resolve addresses to either name.  The
                 # survivor's record is byte-identical by construction.
                 survivor = func.folded_into
-                while survivor.folded_into is not None:
-                    survivor = survivor.folded_into
                 alias = (survivor.obj.frame_records.get(survivor.link_name)
                          or record)
                 clone = alias.copy()

@@ -59,16 +59,6 @@ class BranchPredictor:
     def _gshare_index(self, pc):
         return ((pc >> 1) ^ self.history) & self.mask
 
-    def predict_cond(self, pc):
-        bi = self.bimodal[self._bimodal_index(pc)] >= 2
-        gs = self.gshare[self._gshare_index(pc)] >= 2
-        if self.kind == "bimodal":
-            return bi
-        if self.kind == "gshare":
-            return gs
-        use_gshare = self.chooser[self._bimodal_index(pc)] >= 2
-        return gs if use_gshare else bi
-
     def update_cond(self, pc, taken):
         """Update all components; returns prediction correctness."""
         bi_index = self._bimodal_index(pc)

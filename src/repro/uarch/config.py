@@ -11,11 +11,12 @@ def _cycles(name, value):
     return int(value)
 
 
-def _entries(name, value):
-    """A depth or entry count: an integer of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+def _entries(name, value, minimum=1):
+    """A size, depth or entry count: an integer of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
         raise ValueError(f"UarchConfig {name} must be an integer of at "
-                         f"least 1, got {value!r}")
+                         f"least {minimum}, got {value!r}")
     return value
 
 
@@ -30,7 +31,9 @@ class UarchConfig:
 
     Both engines count whole cycles, so ``base_cpi``, the penalties and
     ``l2_hit_latency`` must be non-negative whole numbers (stored as
-    ints), and the TLB, BTB and return-stack sizes at least 1; anything
+    ints).  The L1 and LLC sizes, every associativity and the TLB, BTB
+    and return-stack sizes must be integers of at least 1, and
+    ``l2_size`` and ``bp_table_bits`` integers of at least 0.  Anything
     else raises ``ValueError`` naming the field.
     """
 
@@ -62,21 +65,22 @@ class UarchConfig:
         tlb_miss_penalty=30,
     ):
         self.line_size = line_size
-        self.l1i_size = l1i_size
-        self.l1i_assoc = l1i_assoc
-        self.l1d_size = l1d_size
-        self.l1d_assoc = l1d_assoc
-        self.llc_size = llc_size
-        self.llc_assoc = llc_assoc
-        self.l2_size = l2_size
-        self.l2_assoc = l2_assoc
+        self.l1i_size = _entries("l1i_size", l1i_size)
+        self.l1i_assoc = _entries("l1i_assoc", l1i_assoc)
+        self.l1d_size = _entries("l1d_size", l1d_size)
+        self.l1d_assoc = _entries("l1d_assoc", l1d_assoc)
+        self.llc_size = _entries("llc_size", llc_size)
+        self.llc_assoc = _entries("llc_assoc", llc_assoc)
+        self.l2_size = _entries("l2_size", l2_size, minimum=0)
+        self.l2_assoc = _entries("l2_assoc", l2_assoc)
         self.l2_hit_latency = _cycles("l2_hit_latency", l2_hit_latency)
         self.prefetch_next_line = prefetch_next_line
         self.page_size = page_size
         self.itlb_entries = _entries("itlb_entries", itlb_entries)
         self.dtlb_entries = _entries("dtlb_entries", dtlb_entries)
         self.btb_entries = _entries("btb_entries", btb_entries)
-        self.bp_table_bits = bp_table_bits
+        self.bp_table_bits = _entries("bp_table_bits", bp_table_bits,
+                                      minimum=0)
         self.bp_kind = bp_kind
         self.ras_depth = _entries("ras_depth", ras_depth)
         self.base_cpi = _cycles("base_cpi", base_cpi)

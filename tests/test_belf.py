@@ -16,6 +16,8 @@ from repro.belf import (
     SymbolType,
     SymbolBind,
     RelocType,
+    RelocationOverflow,
+    apply_relocation,
     write_binary,
     read_binary,
     BelfFormatError,
@@ -222,3 +224,43 @@ def test_prop_serialize_roundtrip(sections, nsyms):
     assert len(loaded.symbols) == nsyms
     for before, after in zip(binary.symbols, loaded.symbols):
         assert before.name == after.name and before.value == after.value
+
+
+#: Field width in bytes and signedness of each relocation type.
+_FIELDS = {RelocType.ABS64: (8, False), RelocType.ABS32: (4, False),
+           RelocType.PC32: (4, True)}
+
+
+@given(rtype=st.sampled_from(list(RelocType)), place=st.integers(0, 2**40),
+       data=st.data())
+def test_prop_apply_relocation(rtype, place, data):
+    """In-range values read back (for PC32, P + 4 + rel == S + A), one
+    past either bound raises and leaves the bytes alone, ABS64 wraps."""
+    width, signed = _FIELDS[rtype]
+    bits = 8 * width
+    lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed \
+        else (0, (1 << bits) - 1)
+    bias = place + 4 if rtype == RelocType.PC32 else 0
+    field = data.draw(st.integers(lo, hi))
+    buf = bytearray(b"\xaa" * 16)
+    apply_relocation(buf, 3, rtype, field + bias, place)
+    assert int.from_bytes(buf[3:3 + width], "little", signed=signed) == field
+    assert buf[:3] + buf[3 + width:] == b"\xaa" * (16 - width)
+    if rtype == RelocType.ABS64:
+        wraps = data.draw(st.integers(-4, 4))
+        wrapped = bytearray(16)
+        apply_relocation(wrapped, 3, rtype, field + (wraps << 64), place)
+        assert wrapped[3:11] == buf[3:11]
+        return
+    for bad in (lo - 1, hi + 1):
+        before = bytes(buf)
+        with pytest.raises(RelocationOverflow) as info:
+            apply_relocation(buf, 3, rtype, bad + bias, place)
+        assert (info.value.type, info.value.place) == (rtype, place)
+        assert bytes(buf) == before
+
+
+def test_apply_relocation_rejects_string_kinds():
+    for kind in ("pc32", "abs64", "abs32"):
+        with pytest.raises(TypeError):
+            apply_relocation(bytearray(8), 0, kind, 0, 0)

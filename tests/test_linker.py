@@ -129,6 +129,36 @@ def test_emit_relocs_retained_and_rebased():
     assert not exe2.relocations
 
 
+def _abs_reloc(objs, rtype):
+    return next(r for obj in objs for r in obj.relocations
+                if r.type == rtype)
+
+
+def test_abs32_overflow_raises_link_error():
+    objs = objects_for(("m", "var g = 5; func main() { out g; return 0; }"))
+    reloc = _abs_reloc(objs, RelocType.ABS32)
+    reloc.addend += 1 << 32
+    with pytest.raises(LinkError, match=f"ABS32 overflow for {reloc.symbol}"):
+        link(objs)
+
+
+def test_negative_abs64_wraps():
+    """ABS64 writes S + A modulo 2**64, as the rewriter always did; a
+    negative value used to escape as ``OverflowError``."""
+    objs = objects_for(("m", """
+func f() { return 1; }
+func main() { var p = &f; out p(); return 0; }
+"""))
+    reloc = _abs_reloc(objs, RelocType.ABS64)
+    target = link(objs).get_symbol(reloc.symbol).value
+    reloc.addend = -(target + 8)
+    exe = link(objs, emit_relocs=True)
+    kept = next(r for r in exe.relocations if r.type == RelocType.ABS64
+                and r.addend == reloc.addend)
+    assert exe.read_word(exe.get_section(kept.section).addr
+                         + kept.offset) == (1 << 64) - 8
+
+
 def test_jump_table_relocs_in_rodata():
     objs = objects_for(("m", """
 func main() {

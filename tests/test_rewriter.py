@@ -286,3 +286,48 @@ def test_jump_tables_move(baseline):
     hot_ro = moved.binary.get_section(".rodata.hot")
     assert hot_ro is not None and hot_ro.size > 0
     assert stayed.binary.get_section(".rodata.hot") is None
+
+
+def test_raw_fragment_relocations_follow_sym_slot(monkeypatch):
+    """A function demoted to raw keeps its bytes and re-relocates every
+    symbolic operand at the field and type the assembler's ``SYM_SLOT``
+    names; every fragment's relocation kind is a ``RelocType``."""
+    from repro.belf import RelocType
+    from repro.codegen.emitter import SYM_SLOT
+    from repro.core.passes.peepholes import Peepholes
+    from repro.harness import build_workload, sample_profile
+    from repro.workloads import make_workload
+
+    built = build_workload(make_workload("mini"))
+    profile, _ = sample_profile(built, sampling=SamplingConfig(period=97))
+    victim = {}
+    original = Peepholes.run_on_function
+
+    def exploding(self, context, func):
+        if not victim and any(insn.sym is not None and insn.op in SYM_SLOT
+                              for block in func.blocks.values()
+                              for insn in block.insns):
+            victim["name"] = func.name
+        if func.name == victim.get("name"):
+            raise RuntimeError("synthetic pass bug")
+        return original(self, context, func)
+
+    monkeypatch.setattr(Peepholes, "run_on_function", exploding)
+    result = optimize_binary(built.exe, profile, BoltOptions())
+    assert result.degraded is None
+    for frag in result.fragments.values():
+        assert all(type(rtype) is RelocType
+                   for _, rtype, _, _ in frag.image.relocations)
+    frag = result.fragments[victim["name"]]
+    func = frag.func
+    assert frag.raw and not func.is_simple
+    expected = [(insn.address - func.address + SYM_SLOT[insn.op][0],
+                 SYM_SLOT[insn.op][1])
+                for block in func.blocks.values() for insn in block.insns
+                if insn.sym is not None and insn.op in SYM_SLOT]
+    assert expected
+    assert [(offset, rtype) for offset, rtype, _, _
+            in frag.image.relocations] == expected
+    cpu = run_binary(result.binary, inputs=built.workload.inputs)
+    assert cpu.output == run_binary(built.exe,
+                                    inputs=built.workload.inputs).output

@@ -429,3 +429,23 @@ def test_cache_install_no_stats():
     cache.install(0x40)
     assert cache.accesses == 0 and cache.misses == 0
     assert cache.access(0x40)  # prefetched line hits
+
+
+@pytest.mark.parametrize("field,value", [
+    ("l1i_assoc", 0), ("l1d_assoc", 0), ("llc_assoc", 0), ("l2_assoc", 0),
+    ("l1i_size", 0), ("l1d_size", 0), ("llc_size", 0), ("l1d_assoc", 2.0),
+    ("l2_size", -1), ("bp_table_bits", -1), ("bp_table_bits", 1.5),
+    ("bp_table_bits", "12")])
+def test_uarch_config_rejects_unbuildable_geometry(field, value):
+    """``l1d_assoc=0`` used to raise ``ZeroDivisionError`` and
+    ``bp_table_bits=-1`` ``negative shift count`` only once a run
+    started, naming no field."""
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: value})
+
+
+def test_uarch_config_geometry_lower_bounds_run():
+    config = UarchConfig(l1d_size=256, l1d_assoc=1, l2_size=0,
+                         bp_table_bits=0)
+    cpu = run_src("func main() { out 3; return 0; }", config=config)
+    assert cpu.output == [3]
