@@ -105,7 +105,7 @@ def test_sec22_profile_accuracy(benchmark):
             continue
         for block in func.blocks.values():
             for insn in block.insns:
-                loc = insn.get_annotation("loc")
+                loc = insn.loc
                 if loc is not None:
                     bolt_lines[loc] = (bolt_lines.get(loc, 0)
                                        + block.exec_count)

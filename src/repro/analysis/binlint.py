@@ -293,7 +293,6 @@ def gate_problems(binary, options, result=None):
     if not problems and level == "execute":
         problems = validate_execution(
             binary, out, inputs=options.validate_inputs,
-            max_instructions=options.validate_max_instructions,
             diagnostics=result.context.diagnostics)
     return problems
 

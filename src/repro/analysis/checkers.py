@@ -142,7 +142,7 @@ def _check_jump_tables(func):
         for insn in block.insns:
             if insn.op != Op.JMP_REG:
                 continue
-            table = insn.get_annotation("jump-table")
+            table = insn.jump_table
             if table is None:
                 continue
             bad = [e for e in table.entries if e not in labels]
@@ -216,16 +216,14 @@ def _is_cold_transfer(name):
     """A branch to a split-function cold fragment (or back to its hot
     parent) is a layout-level transfer inside one logical function, not
     a tail call: the frame is intentionally live across it."""
-    return isinstance(name, str) and name.endswith(COLD_SUFFIX)
+    return name.endswith(COLD_SUFFIX)
 
 
 def _is_tail_call(insn):
-    ann = insn.get_annotation("tailcall", "!")
-    if ann != "!":
-        return not _is_cold_transfer(ann)
-    if insn.is_branch and insn.sym is not None:
-        return not _is_cold_transfer(getattr(insn.sym, "name", insn.sym))
-    return False
+    """A direct branch to another function (every ``tailcall``-marked
+    instruction is one)."""
+    return (insn.is_branch and insn.sym is not None
+            and not _is_cold_transfer(insn.sym.name))
 
 
 # A summary entry is ``(kind, argument, instruction)``.  A block's
@@ -294,15 +292,10 @@ def _summarize(func):
                 defined = [regs[i] for i in def_pos] + [*defined]
             is_call = op in CALL_OPS
             is_return = op in RETURN_OPS
-            ann = insn.annotations
-            # Only a branch or a "tailcall"-annotated instruction can be
-            # a tail call.
-            exits = is_return or (
-                (op in BRANCH_OPS or (ann is not None and "tailcall" in ann))
-                and _is_tail_call(insn))
+            exits = is_return or (op in BRANCH_OPS and _is_tail_call(insn))
             unwind = None
             if is_call and pads:
-                lp = insn.get_annotation("lp")
+                lp = insn.lp
                 unwind = (_UNWIND, [lp] if lp is not None else pads, insn)
                 stack.append(unwind)
 

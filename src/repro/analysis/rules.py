@@ -17,21 +17,7 @@ containment machinery.
 
 import json
 
-from repro.core.diagnostics import Severity
-
-
-class Rule:
-    __slots__ = ("id", "name", "severity", "summary")
-
-    def __init__(self, rule_id, name, severity, summary):
-        self.id = rule_id
-        self.name = name
-        self.severity = severity
-        self.summary = summary
-
-    def __repr__(self):
-        return f"<Rule {self.id} {self.name} {self.severity.tag}>"
-
+from repro.core.diagnostics import Rule, Severity
 
 _E = Severity.ERROR
 _W = Severity.WARNING

@@ -149,12 +149,12 @@ def assemble_function(mf, normalize=True):
                 insn.target = offsets[insn.label]
             image.insn_offsets.append((offset, insn))
 
-            loc = insn.get_annotation("loc")
+            loc = insn.loc
             if loc is not None and loc != last_line:
                 image.line_rows.append((offset, loc[0], loc[1]))
                 last_line = loc
 
-            lp = insn.get_annotation("lp")
+            lp = insn.lp
             if lp is not None:
                 image.callsites.append(
                     CallSiteRecord(offset, offset + insn.size, offsets[lp]))

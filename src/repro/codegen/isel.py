@@ -202,10 +202,8 @@ class _FunctionSelector:
     # -- emission helpers ------------------------------------------------------
 
     def emit(self, op, regs=(), **kwargs):
-        loc = kwargs.pop("loc", self.loc)
+        kwargs.setdefault("loc", self.loc)
         insn = Instruction(op, regs, **kwargs)
-        if loc is not None:
-            insn.set_annotation("loc", loc)
         self.block.insns.append(insn)
         return insn
 
@@ -392,9 +390,8 @@ class _FunctionSelector:
             if vreg in self.promoted:
                 self.emit(Op.MOV_RR, (self.promoted[vreg], arg_reg))
                 if self.options.naive_param_homing:
-                    insn = self.emit(Op.STORE, (RBP, arg_reg),
-                                     disp=-self.slots[vreg])
-                    insn.set_annotation("param-home", True)
+                    self.emit(Op.STORE, (RBP, arg_reg),
+                              disp=-self.slots[vreg])
             else:
                 self.emit(Op.STORE, (RBP, arg_reg), disp=-self.slots[vreg])
 
@@ -426,18 +423,18 @@ class _FunctionSelector:
             self._sel_unop(inst)
         elif kind == "loadg":
             reg = self.alloc_reg()
-            self.emit(Op.LOAD_ABS, (reg,), sym=SymRef(inst.sym, "abs32"),
+            self.emit(Op.LOAD_ABS, (reg,), sym=SymRef(inst.sym),
                       loc=inst.loc)
             self.write_result(inst.dst, reg, inst.loc)
         elif kind == "storeg":
             reg = self.read(inst.a, loc=inst.loc)
-            self.emit(Op.STORE_ABS, (reg,), sym=SymRef(inst.sym, "abs32"),
+            self.emit(Op.STORE_ABS, (reg,), sym=SymRef(inst.sym),
                       loc=inst.loc)
         elif kind == "loadidx":
             idx = self._masked_index(inst)
             base = self.alloc_reg(pinned=(idx,))
             self.emit(Op.MOV_RI32, (base,), imm=0,
-                      sym=SymRef(inst.sym, "imm32"), loc=inst.loc)
+                      sym=SymRef(inst.sym), loc=inst.loc)
             self.emit(Op.LOADIDX, (base, base, idx), disp=0, loc=inst.loc)
             self.free_reg(idx)
             self.write_result(inst.dst, base, inst.loc)
@@ -447,7 +444,7 @@ class _FunctionSelector:
             base = self.alloc_reg(pinned=(idx, src))
             self._transient.append(base)
             self.emit(Op.MOV_RI32, (base,), imm=0,
-                      sym=SymRef(inst.sym, "imm32"), loc=inst.loc)
+                      sym=SymRef(inst.sym), loc=inst.loc)
             self.emit(Op.STOREIDX, (base, idx, src), disp=0, loc=inst.loc)
             self.free_reg(idx)
         elif kind in ("call", "icall"):
@@ -459,7 +456,7 @@ class _FunctionSelector:
         elif kind == "funcaddr":
             reg = self.alloc_reg()
             self.emit(Op.MOV_RI64, (reg,), imm=0,
-                      sym=SymRef(inst.sym, "abs64"), loc=inst.loc)
+                      sym=SymRef(inst.sym), loc=inst.loc)
             self.write_result(inst.dst, reg, inst.loc)
         elif kind == "out":
             reg = self.read(inst.a, loc=inst.loc)
@@ -467,10 +464,8 @@ class _FunctionSelector:
         elif kind == "throw":
             reg = self.read(inst.a, loc=inst.loc)
             self.emit(Op.MOV_RR, (RDI, reg), loc=inst.loc)
-            call = self.emit(Op.CALL, sym=SymRef(THROW_FUNC, "branch"),
-                             loc=inst.loc)
-            if inst.lp is not None:
-                call.set_annotation("lp", inst.lp)
+            self.emit(Op.CALL, sym=SymRef(THROW_FUNC), loc=inst.loc,
+                      lp=inst.lp)
         elif kind == "landingpad":
             reg = self.alloc_reg()
             self.emit(Op.MOV_RR, (reg, RAX), loc=inst.loc)
@@ -478,7 +473,7 @@ class _FunctionSelector:
         elif kind == "profcount":
             reg = self.alloc_reg()
             self._transient.append(reg)
-            sym = SymRef("__profc", "abs32", addend=8 * inst.value)
+            sym = SymRef("__profc", addend=8 * inst.value)
             self.emit(Op.LOAD_ABS, (reg,), sym=sym, loc=inst.loc)
             self.emit(Op.ADD_RI, (reg,), imm=1, loc=inst.loc)
             self.emit(Op.STORE_ABS, (reg,), sym=sym, loc=inst.loc)
@@ -633,17 +628,15 @@ class _FunctionSelector:
             if inst.kind == "icall":
                 self.emit(Op.JMP_REG, (R10,), loc=inst.loc)
             else:
-                self.emit(Op.JMP_NEAR, sym=SymRef(inst.sym, "branch"),
+                self.emit(Op.JMP_NEAR, sym=SymRef(inst.sym),
                           loc=inst.loc)
             return True
 
         if inst.kind == "icall":
-            call = self.emit(Op.CALL_REG, (R10,), loc=inst.loc)
+            self.emit(Op.CALL_REG, (R10,), loc=inst.loc, lp=inst.lp)
         else:
-            call = self.emit(Op.CALL, sym=SymRef(inst.sym, "branch"),
-                             loc=inst.loc)
-        if inst.lp is not None:
-            call.set_annotation("lp", inst.lp)
+            self.emit(Op.CALL, sym=SymRef(inst.sym), loc=inst.loc,
+                      lp=inst.lp)
 
         # 5. Restore survivors into fresh registers, then place result.
         for vreg in reversed(survivors):
@@ -735,10 +728,9 @@ class _FunctionSelector:
             self.mf.jump_tables.append((table_sym, entries))
             base = self.alloc_reg(pinned=(rt,))
             self.emit(Op.MOV_RI32, (base,), imm=0,
-                      sym=SymRef(table_sym, "imm32"), loc=term.loc)
+                      sym=SymRef(table_sym), loc=term.loc)
             self.emit(Op.LOADIDX, (base, base, rt), disp=0, loc=term.loc)
-            jmp = self.emit(Op.JMP_REG, (base,), loc=term.loc)
-            jmp.set_annotation("jump-table", table_sym)
+            self.emit(Op.JMP_REG, (base,), loc=term.loc)
             self.free_reg(rt)
             self.free_reg(base)
         else:

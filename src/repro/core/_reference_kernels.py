@@ -388,7 +388,7 @@ def function_key_reference(func):
     for label, block in func.blocks.items():
         insn_keys = []
         for insn in block.insns:
-            table = insn.get_annotation("jump-table")
+            table = insn.jump_table
             imm = insn.imm
             if imm in table_addrs:
                 imm = ("jt", table_addrs[imm])
@@ -400,7 +400,7 @@ def function_key_reference(func):
                 insn.addr,
                 int(insn.cc) if insn.cc is not None else None,
                 index.get(insn.label, insn.label),
-                (insn.sym.name, insn.sym.kind, insn.sym.addend)
+                (insn.sym.name, insn.sym.addend)
                 if insn.sym is not None else None,
                 table_ids.get(id(table)),
             ))
@@ -509,7 +509,7 @@ def check_stack_height_reference(func):
         edge_states = {}
         for insn in block.insns:
             if insn.is_call and block.landing_pads:
-                lp = insn.get_annotation("lp")
+                lp = insn.lp
                 targets = [lp] if lp is not None else block.landing_pads
                 # Unwinding resumes with the frame as it was at the call.
                 for target in targets:
@@ -642,7 +642,7 @@ def check_flags_reference(func):
         for insn in block.insns:
             state = _flags_step_reference(insn, state)
             if insn.is_call and block.landing_pads:
-                lp = insn.get_annotation("lp")
+                lp = insn.lp
                 for target in ([lp] if lp is not None
                                else block.landing_pads):
                     prev = edge_states.get(target, BOTTOM)

@@ -25,7 +25,7 @@ class BinaryBasicBlock:
     jump, or nothing (pure fall-through).
 
     CFG edges are kept as an ordered list of successor labels with
-    profile annotations; ``fallthrough_label`` names the successor
+    profile counts; ``fallthrough_label`` names the successor
     reached by not taking the final conditional branch (or by falling
     off the end).
     """

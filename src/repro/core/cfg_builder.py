@@ -46,13 +46,12 @@ def build_function_cfg(context, func, insns=None):
             func.mark_non_simple(f"decode-error: {exc}")
             return func
 
-    # Debug info annotation (read-debug-info stage).
+    # Line locations (read-debug-info stage).
     lines = context.binary.line_table
     if lines is not None:
         locs = lines.lookup_ascending([insn.address for insn in insns])
         for insn, loc in zip(insns, locs):
-            if loc is not None:
-                insn.set_annotation("loc", loc)
+            insn.loc = loc
 
     start, end = func.address, func.address + func.size
 
@@ -162,7 +161,7 @@ def build_function_cfg(context, func, insns=None):
         if index in jump_tables:
             table = jump_tables[index]
             table.entries = [labels[t] for t in table.entries]
-            insn.set_annotation("jump-table", table)
+            insn.jump_table = table
             func.jump_tables.append(table)
         current.insns.append(insn)
 
@@ -180,7 +179,7 @@ def build_function_cfg(context, func, insns=None):
                     lp_off = record.landing_pad_for(insn.address - start)
                     if lp_off is not None:
                         lp_label = labels[start + lp_off]
-                        insn.set_annotation("lp", lp_label)
+                        insn.lp = lp_label
                         if lp_label not in block.landing_pads:
                             block.landing_pads.append(lp_label)
     return func
@@ -273,18 +272,16 @@ def _symbolize_external(context, func, insn, tail):
     target = insn.target
     entry = context.function_entry_at(target)
     if entry is not None:
-        insn.sym = SymRef(entry.link_name(), "branch")
+        insn.sym = SymRef(entry.link_name())
         insn.target = None
-        if tail:
-            insn.set_annotation("tailcall", entry.link_name())
+        insn.tailcall = tail
         return True
     if context.is_plt_stub(target):
         got_addr, final = context.plt_map[target]
-        insn.sym = SymRef(ABS_SYMBOL, "branch", addend=target)
+        insn.sym = SymRef(ABS_SYMBOL, addend=target)
         insn.target = None
-        insn.set_annotation("plt", (got_addr, final))
-        if tail:
-            insn.set_annotation("tailcall", None)
+        insn.plt = (got_addr, final)
+        insn.tailcall = tail
         return True
     func.mark_non_simple(f"transfer to unknown target {target:#x}")
     return False
@@ -299,7 +296,7 @@ def _symbolize_abs64(context, func, insns):
         offset = insn.address - section.addr + 2
         reloc = context.reloc_at.get((func.section, offset))
         if reloc is not None:
-            insn.sym = SymRef(reloc.symbol, "abs64", addend=reloc.addend)
+            insn.sym = SymRef(reloc.symbol, addend=reloc.addend)
 
 
 def _connect_block(func, block, labels, start, end, next_label):
@@ -336,7 +333,7 @@ def _connect_block(func, block, labels, start, end, next_label):
             term.target = None
         block.set_edge(term.label)
     elif op == Op.JMP_REG:
-        table = term.get_annotation("jump-table")
+        table = term.jump_table
         for label in table.entries:
             if label not in block.successors:
                 block.set_edge(label)

@@ -156,8 +156,7 @@ def liveness(func):
         gen, kill = block_uses_defs(block)
         gen_kill[label] = frozenset(gen), kill
         term = block.terminator()
-        if term is not None and (term.is_return
-                                 or term.get_annotation("tailcall", "!") != "!"):
+        if term is not None and (term.is_return or term.tailcall):
             exits.add(label)
 
     def transfer(block, out):

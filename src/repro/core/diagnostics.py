@@ -34,6 +34,22 @@ class Severity(enum.IntEnum):
         }[self]
 
 
+class Rule:
+    """A stable diagnostic rule: the lint checkers' ``BL0xx`` and the
+    shard parser's ``FD0xx``."""
+
+    __slots__ = ("id", "name", "severity", "summary")
+
+    def __init__(self, rule_id, name, severity, summary):
+        self.id = rule_id
+        self.name = name
+        self.severity = severity
+        self.summary = summary
+
+    def __repr__(self):
+        return f"<Rule {self.id} {self.name} {self.severity.tag}>"
+
+
 class Diagnostic:
     """One structured record: what happened, where, and how bad."""
 

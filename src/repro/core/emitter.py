@@ -107,6 +107,8 @@ def _emit_fragment(func, name, blocks, options, is_cold, other=None):
     """Assemble a subset of a function's blocks as one fragment."""
     other_name = other[0] if other else None
     other_labels = {b.label for b in other[1]} if other else set()
+    # id of an emitted call -> its landing pad in the other fragment.
+    extern_lps = {}
 
     mf = MachineFunction(func.name, name)
     for block in blocks:
@@ -119,7 +121,7 @@ def _emit_fragment(func, name, blocks, options, is_cold, other=None):
             # label-addend placeholder, resolved after placement.
             if insn.label is not None and insn.label in other_labels:
                 insn = insn.copy()
-                insn.sym = SymRef(other_name, "branch", addend=("label", insn.label))
+                insn.sym = SymRef(other_name, addend=("label", insn.label))
                 insn.label = None
                 if insn.op == Op.JMP_SHORT:
                     insn.op = Op.JMP_NEAR
@@ -127,11 +129,10 @@ def _emit_fragment(func, name, blocks, options, is_cold, other=None):
                 elif insn.op == Op.JCC_SHORT:
                     insn.op = Op.JCC_LONG
                     insn.size = 6
-            lp = insn.get_annotation("lp")
+            lp = insn.lp
             if lp is not None and lp in other_labels:
-                insn = insn.copy() if insn.label is not None else insn
-                insn.set_annotation("lp", None)
-                insn.set_annotation("lp-extern", (other_name, lp))
+                insn = insn.replace(lp=None)
+                extern_lps[id(insn)] = lp
             mblock.insns.append(insn)
         mf.blocks.append(mblock)
 
@@ -141,9 +142,10 @@ def _emit_fragment(func, name, blocks, options, is_cold, other=None):
     # Cross-fragment landing pads: collect for post-placement fixup.
     extern_callsites = []
     for offset, insn in image.insn_offsets:
-        ext = insn.get_annotation("lp-extern")
-        if ext is not None:
-            extern_callsites.append((offset, offset + insn.size) + ext)
+        lp = extern_lps.get(id(insn))
+        if lp is not None:
+            extern_callsites.append((offset, offset + insn.size, other_name,
+                                     lp))
     fragment = Fragment(name, func, image, is_cold=is_cold)
     fragment.extern_callsites = extern_callsites
     return fragment

@@ -18,10 +18,8 @@ class BoltOptions:
         split_eh=True,
         icf=True,
         icp=True,
-        icp_top_n=1,
         icp_mispredict_threshold=0.05,
         inline_small=True,
-        inline_max_size=32,
         simplify_ro_loads=True,
         plt=True,
         peepholes=True,
@@ -35,13 +33,10 @@ class BoltOptions:
         update_debug_sections=True,
         use_relocations=None,           # None = auto (binary has relocs)
         trust_fall_through=True,        # section 5.2 flow repair policy
-        use_mcf=True,                   # non-LBR edge inference via MCF
         hot_threshold=1,                # min count for a block to be hot
-        dyno_stats=True,
         strict=False,                   # warnings become hard failures
         validate_output="structural",   # none | structural | static | execute
         validate_inputs=None,           # smoke inputs for "execute"
-        validate_max_instructions=5_000_000,
         lint="post",                    # none | post (post-pass lint gate)
         lint_suppress=(),               # ("BL003", "crc32:BL001", ...)
         stale_matching=True,            # fuzzy-match stale profiles
@@ -56,10 +51,8 @@ class BoltOptions:
         self.split_eh = split_eh
         self.icf = icf
         self.icp = icp
-        self.icp_top_n = icp_top_n
         self.icp_mispredict_threshold = icp_mispredict_threshold
         self.inline_small = inline_small
-        self.inline_max_size = inline_max_size
         self.simplify_ro_loads = simplify_ro_loads
         self.plt = plt
         self.peepholes = peepholes
@@ -73,13 +66,10 @@ class BoltOptions:
         self.update_debug_sections = update_debug_sections
         self.use_relocations = use_relocations
         self.trust_fall_through = trust_fall_through
-        self.use_mcf = use_mcf
         self.hot_threshold = hot_threshold
-        self.dyno_stats = dyno_stats
         self.strict = strict
         self.validate_output = validate_output
         self.validate_inputs = validate_inputs
-        self.validate_max_instructions = validate_max_instructions
         self.lint = lint
         self.lint_suppress = lint_suppress
         self.stale_matching = stale_matching

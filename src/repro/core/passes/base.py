@@ -10,12 +10,11 @@ diagnostic is recorded.  Whole-context passes (ICF, inlining, function
 reordering) are contained at pass granularity instead.
 
 Instructions are values to a pass: it replaces them
-(``block.insns[i] = insn.replace(...)``, ``insn.with_annotation(...)``)
-and never mutates one in place.  A snapshot therefore shares the
-instruction objects and saves only what a pass may change in place:
-the block dict, each block's instruction list, edge dicts and scalars,
-the jump tables' state, the frame record and the analysis facts.  The
-pre-value-semantics ``copy.deepcopy`` snapshot is kept in
+(``block.insns[i] = insn.replace(...)``) and never mutates one in
+place.  A snapshot therefore shares the instruction objects and saves
+only what a pass may change in place: the block dict, each block's
+instruction list, edge dicts and scalars, the jump tables' state, the
+frame record and the analysis facts.  The pre-value-semantics ``copy.deepcopy`` snapshot is kept in
 :mod:`repro.core._reference_kernels` for the processing-time
 benchmarks.
 
@@ -89,7 +88,7 @@ def restore_function(func, snapshot):
     """Restore a function to a previously-taken snapshot, in place.
 
     Block and jump-table objects are restored in place too, so the
-    ``"jump-table"`` annotations of the shared instructions stay valid.
+    ``jump_table`` fields of the shared instructions stay valid.
     The snapshot itself is left intact.
     """
     state, blocks, tables, record, facts = snapshot
@@ -168,7 +167,7 @@ class PassManager:
         timing = getattr(context, "timing", None)
         time_passes = timing is not None and timing.time_passes
         dyno_prev = None
-        if time_passes and context.options.dyno_stats:
+        if time_passes:
             from repro.core.dyno_stats import compute_dyno_stats
             dyno_prev = compute_dyno_stats(context)
         for pass_ in self.passes:

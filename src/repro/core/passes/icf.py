@@ -22,8 +22,8 @@ def _function_key(func, self_name):
     identical, while a call into one of them is not.
     """
     # Every string a key can hold goes through ``own`` (even the "jt"
-    # marker and SymRef kinds), so keys stay equal to renaming the
-    # finished key, whatever the function is called.
+    # marker), so keys stay equal to renaming the finished key,
+    # whatever the function is called.
     def own(value):
         return _SELF if value == self_name else value
 
@@ -39,8 +39,7 @@ def _function_key(func, self_name):
     for label, block in func.blocks.items():
         insn_keys = []
         for insn in block.insns:
-            ann = insn.annotations
-            table = ann.get("jump-table") if ann else None
+            table = insn.jump_table
             imm = insn.imm
             if table is not None:
                 imm = None
@@ -51,7 +50,7 @@ def _function_key(func, self_name):
                 target = index[target] if target in index else own(target)
             sym = insn.sym
             if sym is not None:
-                sym = (own(sym.name), own(sym.kind), sym.addend)
+                sym = (own(sym.name), sym.addend)
             cc = insn.cc
             insn_keys.append((
                 int(insn.op),

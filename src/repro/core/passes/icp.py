@@ -21,6 +21,10 @@ from repro.core.binary_function import BinaryBasicBlock
 from repro.core.passes.base import BinaryPass
 
 
+#: Most targets promoted per call site.
+TOP_N = 1
+
+
 class IndirectCallPromotion(BinaryPass):
     name = "icp"
 
@@ -28,25 +32,24 @@ class IndirectCallPromotion(BinaryPass):
         if not func.has_profile:
             return {}
         promoted = 0
-        top_n = context.options.icp_top_n
         for label in list(func.blocks):
             block = func.blocks[label]
             for index, insn in enumerate(block.insns):
                 if insn.op != Op.CALL_REG:
                     continue
-                targets = insn.get_annotation("call-targets")
+                targets = insn.call_targets
                 if not targets:
                     continue
                 total = sum(targets.values())
                 best = sorted(targets.items(), key=lambda kv: (-kv[1], kv[0]))
-                best = [(name, count) for name, count in best[:top_n]
+                best = [(name, count) for name, count in best[:TOP_N]
                         if count * 2 >= total]  # promote only if >= 50% hot
                 if not best or total < context.options.hot_threshold:
                     continue
                 # Promotion trades I-cache bytes for prediction: only
                 # worth it when the BTB actually struggles at this site.
-                mispreds = insn.get_annotation("call-mispreds") or 0
-                if mispreds < context.options.icp_mispredict_threshold * total:
+                threshold = context.options.icp_mispredict_threshold
+                if insn.call_mispreds < threshold * total:
                     continue
                 self._promote(context, func, block, index, insn, best)
                 promoted += 1
@@ -65,22 +68,22 @@ class IndirectCallPromotion(BinaryPass):
         join.fallthrough_label = block.fallthrough_label
         join.landing_pads = [
             lp for lp in block.landing_pads
-            if any(i.get_annotation("lp") == lp for i in join.insns)]
+            if any(i.lp == lp for i in join.insns)]
 
         block.insns = block.insns[:index]
         block.successors = []
         block.edge_counts = {}
         block.edge_mispreds = {}
 
-        lp = insn.get_annotation("lp")
-        remaining = dict(insn.get_annotation("call-targets"))
+        lp = insn.lp
+        remaining = dict(insn.call_targets)
         total = sum(remaining.values())
         current = block
         for i, (target, count) in enumerate(targets):
             fallback_label = f".LICPf{suffix}_{i}"
             direct_label = f".LICPd{suffix}_{i}"
             cmp = Instruction(Op.CMP_RI, (reg,), imm=0,
-                              sym=SymRef(target, "imm32"))
+                              sym=SymRef(target))
             jcc = Instruction(Op.JCC_LONG, cc=CondCode.NE, label=fallback_label)
             current.insns.extend([cmp, jcc])
             current.set_edge(fallback_label, max(0, total - count))
@@ -89,11 +92,8 @@ class IndirectCallPromotion(BinaryPass):
             current.exec_count = total
 
             direct = BinaryBasicBlock(direct_label)
-            call = Instruction(Op.CALL, sym=SymRef(target, "branch"))
-            if insn.annotations:
-                call.annotations = dict(insn.annotations)
-                call.annotations.pop("call-targets", None)
-                call.annotations.pop("call-mispreds", None)
+            call = Instruction(Op.CALL, sym=SymRef(target), loc=insn.loc,
+                               lp=lp)
             # The hot direct path falls through into the join; only the
             # fallback (placed out of line) needs a jump back.
             direct.insns = [call]
@@ -112,7 +112,7 @@ class IndirectCallPromotion(BinaryPass):
             current = fallback
 
         # The final fallback keeps the original indirect call.
-        indirect = insn.with_annotation("call-targets", remaining or None)
+        indirect = insn.replace(call_targets=remaining or None)
         current.insns.append(indirect)
         current.fallthrough_label = join.label
         current.set_edge(join.label, current.exec_count)

@@ -18,9 +18,11 @@ from repro.core.dataflow import insn_uses_defs, FLAGS
 from repro.core.passes.base import BinaryPass
 
 _FRAME_OPS = frozenset({Op.PUSH, Op.POP})
+#: Largest inlined body, in bytes.
+MAX_SIZE = 32
 
 
-def _inlineable_body(func, max_size):
+def _inlineable_body(func):
     """The callee's body sans return, or None if not inlineable."""
     if not func.is_simple or len(func.blocks) != 1:
         return None
@@ -46,7 +48,7 @@ def _inlineable_body(func, max_size):
         if RAX in defs:
             wrote_rax = True
         size += insn.size
-    if size > max_size or not wrote_rax:
+    if size > MAX_SIZE or not wrote_rax:
         return None
     return body
 
@@ -57,7 +59,7 @@ class InlineSmall(BinaryPass):
     def run(self, context):
         candidates = {}
         for func in context.simple_functions():
-            body = _inlineable_body(func, context.options.inline_max_size)
+            body = _inlineable_body(func)
             if body is not None:
                 candidates[func.name] = body
 
@@ -81,6 +83,5 @@ class InlineSmall(BinaryPass):
                     # Inlined bodies cannot throw: recompute which
                     # landing pads this block's remaining calls use.
                     block.landing_pads = sorted({
-                        i.get_annotation("lp") for i in out
-                        if i.is_call and i.get_annotation("lp") is not None})
+                        i.lp for i in out if i.is_call and i.lp is not None})
         return {"inlined": inlined}

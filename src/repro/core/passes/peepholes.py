@@ -31,11 +31,9 @@ class Peepholes(BinaryPass):
                     pushed = out.pop()
                     push_pop += 1
                     if insn.regs[0] != pushed.regs[0]:
-                        mov = Instruction(Op.MOV_RR,
-                                          (insn.regs[0], pushed.regs[0]))
-                        if insn.annotations:
-                            mov.annotations = dict(insn.annotations)
-                        out.append(mov)
+                        out.append(Instruction(
+                            Op.MOV_RR, (insn.regs[0], pushed.regs[0]),
+                            loc=insn.loc))
                     continue
                 out.append(insn)
             block.insns = out

@@ -24,7 +24,7 @@ class PLTCalls(BinaryPass):
         for block in func.blocks.values():
             insns = block.insns
             for i, insn in enumerate(insns):
-                plt = insn.get_annotation("plt")
+                plt = insn.plt
                 if plt is None:
                     continue
                 got_addr, final_target = plt
@@ -35,9 +35,7 @@ class PLTCalls(BinaryPass):
                 if entry is None:
                     skipped += 1
                     continue
-                direct = insn.replace(sym=SymRef(entry.link_name(), "branch"))
-                direct.set_annotation("plt", None)
-                direct.set_annotation("plt-optimized", True)
-                insns[i] = direct
+                insns[i] = insn.replace(sym=SymRef(entry.link_name()),
+                                        plt=None)
                 optimized += 1
         return {"optimized": optimized, "skipped": skipped}

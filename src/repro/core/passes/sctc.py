@@ -69,10 +69,6 @@ class SimplifyConditionalTailCalls(BinaryPass):
         if insn.op == Op.JCC_SHORT:
             # A symbolic target needs the rel32 encoding.
             fields["op"] = Op.JCC_LONG
-        call = insn.replace(label=None, sym=target_jmp.sym, **fields)
-        if target_jmp.get_annotation("tailcall", "!") != "!":
-            call.set_annotation("tailcall",
-                                target_jmp.get_annotation("tailcall"))
-        if target_jmp.get_annotation("plt") is not None:
-            call.set_annotation("plt", target_jmp.get_annotation("plt"))
-        return call
+        return insn.replace(label=None, sym=target_jmp.sym,
+                            tailcall=target_jmp.tailcall,
+                            plt=target_jmp.plt, **fields)

@@ -27,7 +27,7 @@ class EliminateUnreachable(BinaryPass):
             live_tables = set()
             for block in func.blocks.values():
                 for insn in block.insns:
-                    table = insn.get_annotation("jump-table")
+                    table = insn.jump_table
                     if table is not None:
                         live_tables.add(id(table))
             func.jump_tables = [t for t in func.jump_tables

@@ -385,7 +385,7 @@ def _attach_lbr(context, func, records, calls, fuzzy=False, totals=None):
     index = _OffsetIndex(func)
     matched = total = dropped = 0
 
-    # Reset profile annotations.
+    # Reset profile counts.
     for block in func.blocks.values():
         block.exec_count = 0
         for succ in block.successors:
@@ -435,12 +435,11 @@ def _attach_lbr(context, func, records, calls, fuzzy=False, totals=None):
             continue
         insn = _insn_at(block, func.address + from_off)
         if insn is not None and insn.is_call and insn.is_indirect:
-            targets = insn.get_annotation("call-targets") or {}
+            targets = insn.call_targets
+            if targets is None:
+                targets = insn.call_targets = {}
             targets[callee] = targets.get(callee, 0) + count
-            insn.set_annotation("call-targets", targets)
-            insn.set_annotation(
-                "call-mispreds",
-                (insn.get_annotation("call-mispreds") or 0) + mispreds)
+            insn.call_mispreds += mispreds
 
     # Block counts via the trust-the-fall-through flow repair.
     trust = context.options.trust_fall_through
@@ -493,34 +492,18 @@ def _attach_nolbr(context, func, profile, source=None, totals=None):
         if (term is None and block.fallthrough_label is None) or (
                 term is not None and (term.is_return or term.op.name in
                                       ("HALT", "TRAP", "JMP_MEM")
-                                      or term.get_annotation("tailcall", "x") != "x")):
+                                      or term.tailcall)):
             exits.append(label)
     if not exits:
         exits = [label for label, b in func.blocks.items() if not b.successors]
 
-    if context.options.use_mcf and edges:
+    if edges:
         flows = min_cost_flow_edges(list(func.blocks), edges, counts,
                                     func.entry_label, exits or [func.entry_label])
-    else:
-        flows = _proportional_edges(func, counts)
-    for (src, dst), flow in flows.items():
-        func.blocks[src].edge_counts[dst] = flow
+        for (src, dst), flow in flows.items():
+            func.blocks[src].edge_counts[dst] = flow
     func.profile_match = None
     return None
-
-
-def _proportional_edges(func, counts):
-    flows = {}
-    for label, block in func.blocks.items():
-        succs = block.successors
-        if not succs:
-            continue
-        weights = [counts.get(s, 0) for s in succs]
-        total = sum(weights)
-        src = counts.get(label, 0)
-        for succ, weight in zip(succs, weights):
-            flows[(label, succ)] = (src * weight // total) if total else 0
-    return flows
 
 
 def _branch_at(block, address):

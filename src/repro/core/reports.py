@@ -33,9 +33,9 @@ def dump_function(func, max_blocks=None):
         lines.append(f"{label} ({len(block.insns)} instructions){flags}")
         lines.append(f"  Exec Count : {block.exec_count}")
         for insn in block.insns:
-            loc = insn.get_annotation("loc")
+            loc = insn.loc
             comment = f"    # {loc[0]}:{loc[1]}" if loc else ""
-            lp = insn.get_annotation("lp")
+            lp = insn.lp
             if lp:
                 comment += f"    # handler: {lp}; action: 1"
             offset = (f"{insn.address - func.address:08x}: "
@@ -152,7 +152,7 @@ def report_bad_layout(context, min_count=1, max_reports=None):
                     and after.exec_count >= min_count):
                 loc = None
                 for insn in block.insns:
-                    loc = insn.get_annotation("loc")
+                    loc = insn.loc
                     if loc is not None:
                         break
                 findings.append({

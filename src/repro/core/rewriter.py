@@ -233,8 +233,7 @@ def _optimize_once(binary, profile, options):
         with _phase(timing, "attach profile"):
             attach_profile(context, profile)
     with _phase(timing, "dyno-stats (input)"):
-        dyno_before = (compute_dyno_stats(context)
-                       if options.dyno_stats else None)
+        dyno_before = compute_dyno_stats(context)
     manager = build_pipeline(options)
     with _phase(timing, "optimization passes"):
         pass_stats = manager.run(context)
@@ -242,8 +241,7 @@ def _optimize_once(binary, profile, options):
         with _phase(timing, "lint gate"):
             _lint_gate(context)
     with _phase(timing, "dyno-stats (output)"):
-        dyno_after = (compute_dyno_stats(context)
-                      if options.dyno_stats else None)
+        dyno_after = compute_dyno_stats(context)
 
     result = RewriteResult(None, context, pass_stats, dyno_before, dyno_after)
     with _phase(timing, "emit and link"):

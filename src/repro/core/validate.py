@@ -80,8 +80,7 @@ def validate_function(func):
                 problems.append(
                     f"{label}: terminator {insn.mnemonic()} mid-block "
                     f"(index {index})")
-            ann = insn.annotations
-            lp = ann.get("lp") if ann else None
+            lp = insn.lp
             if lp is not None and lp not in block.landing_pads:
                 problems.append(
                     f"{label}: call's landing pad {lp} not registered on "

@@ -112,7 +112,13 @@ def decode(data, offset=0, address=0):
     insn.sym = None
     insn.address = address
     insn.size = size
-    insn.annotations = None
+    insn.loc = None
+    insn.lp = None
+    insn.jump_table = None
+    insn.tailcall = False
+    insn.plt = None
+    insn.call_targets = None
+    insn.call_mispreds = 0
     if nregs:
         regs = values[:nregs]
         if max(regs) >= _NUM_REGS:

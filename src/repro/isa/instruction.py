@@ -4,9 +4,10 @@ The compiler's code generator builds symbolic instructions (branches
 target labels, calls/address materializations carry :class:`SymRef`
 references that the object emitter turns into relocations).  The
 disassembler produces concrete instructions with resolved absolute
-branch targets.  BOLT annotates instructions with arbitrary key/value
-pairs, mirroring the generic MCInst annotation mechanism described in
-section 3.3 of the paper.
+branch targets.  Side data rides on named fields: the line location,
+landing pad, jump table, tail-call and PLT marks and the indirect-call
+profile.  They are the part of BOLT's generic MCInst annotation
+mechanism (section 3.3 of the paper) that this toolchain reads.
 """
 
 from repro.isa.opcodes import (
@@ -24,37 +25,29 @@ from repro.isa.registers import reg_name
 class SymRef:
     """A symbolic reference from an instruction operand to a symbol.
 
-    ``kind`` identifies which operand field holds the reference once
-    encoded:
-
-    * ``"abs64"`` — the 8-byte immediate of ``MOV_RI64``
-    * ``"abs32"`` — the absolute address of ``*_ABS`` / ``CALL_MEM`` /
-      ``JMP_MEM``
-    * ``"branch"`` — the pc-relative target of ``CALL`` / ``JMP_NEAR``
-      (cross-function control transfers)
+    Which operand field holds it once encoded, and with which
+    relocation type, follows from the opcode (codegen's ``SYM_SLOT``).
     """
 
-    __slots__ = ("name", "addend", "kind")
+    __slots__ = ("name", "addend")
 
-    def __init__(self, name, kind, addend=0):
+    def __init__(self, name, addend=0):
         self.name = name
-        self.kind = kind
         self.addend = addend
 
     def __repr__(self):
         add = f"+{self.addend}" if self.addend else ""
-        return f"SymRef({self.name}{add}:{self.kind})"
+        return f"SymRef({self.name}{add})"
 
     def __eq__(self, other):
         return (
             isinstance(other, SymRef)
             and self.name == other.name
-            and self.kind == other.kind
             and self.addend == other.addend
         )
 
     def __hash__(self):
-        return hash((self.name, self.kind, self.addend))
+        return hash((self.name, self.addend))
 
 
 _UNCOND_BRANCHES = frozenset({Op.JMP_SHORT, Op.JMP_NEAR})
@@ -89,6 +82,18 @@ class Instruction:
         sym: :class:`SymRef` for relocatable operands.
         address: the instruction's own address once placed.
         size: encoded size in bytes.
+
+    Side data (paper section 3.3), None/False/0 when absent:
+        loc: ``(file, line)`` source location, for the line table.
+        lp: the landing-pad block label of a call that can throw.
+        jump_table: the BOLT :class:`JumpTable` an indirect jump
+            dispatches through.
+        tailcall: True for a branch to another function.
+        plt: ``(GOT address, final target)`` of a call or tail call
+            through a PLT stub.
+        call_targets: callee name -> count of an indirect call (LBR
+            profile, the ICP input).
+        call_mispreds: that call's mispredicted count.
     """
 
     __slots__ = (
@@ -103,7 +108,13 @@ class Instruction:
         "sym",
         "address",
         "size",
-        "annotations",
+        "loc",
+        "lp",
+        "jump_table",
+        "tailcall",
+        "plt",
+        "call_targets",
+        "call_mispreds",
     )
 
     def __init__(
@@ -118,6 +129,8 @@ class Instruction:
         label=None,
         sym=None,
         address=None,
+        loc=None,
+        lp=None,
     ):
         self.op = op
         self.regs = tuple(regs)
@@ -130,21 +143,13 @@ class Instruction:
         self.sym = sym
         self.address = address
         self.size = imm if op == _NOPN else FORMAT_SIZES[op]
-        self.annotations = None
-
-    # -- annotations (MCInst-style, paper section 3.3) ------------------
-
-    def set_annotation(self, key, value):
-        """Attach an arbitrary annotation (lazily allocates the dict)."""
-        if self.annotations is None:
-            self.annotations = {}
-        self.annotations[key] = value
-
-    def get_annotation(self, key, default=None):
-        """Read an annotation, returning ``default`` when absent."""
-        if self.annotations is None:
-            return default
-        return self.annotations.get(key, default)
+        self.loc = loc
+        self.lp = lp
+        self.jump_table = None
+        self.tailcall = False
+        self.plt = None
+        self.call_targets = None
+        self.call_mispreds = 0
 
     # -- classification --------------------------------------------------
 
@@ -194,7 +199,8 @@ class Instruction:
         return self.is_branch or self.is_call or self.is_return or self.is_terminator
 
     def copy(self):
-        """Deep-enough copy (annotations dict is copied, SymRef shared).
+        """A shallow copy: every field is shared (``SymRef``, jump
+        table and call-target dict included).
 
         Copies the slots directly: no ``__init__``, no size lookup.
         """
@@ -210,28 +216,27 @@ class Instruction:
         insn.sym = self.sym
         insn.address = self.address
         insn.size = self.size
-        ann = self.annotations
-        insn.annotations = dict(ann) if ann else None
+        insn.loc = self.loc
+        insn.lp = self.lp
+        insn.jump_table = self.jump_table
+        insn.tailcall = self.tailcall
+        insn.plt = self.plt
+        insn.call_targets = self.call_targets
+        insn.call_mispreds = self.call_mispreds
         return insn
 
     def replace(self, **fields):
         """A copy with ``fields`` changed; a new ``op`` brings its size.
 
-        Passes rewrite instructions through this (and
-        :meth:`with_annotation`) rather than mutating them, so a
-        pass-containment snapshot can share instruction objects.
+        Passes rewrite instructions through this rather than mutating
+        them, so a pass-containment snapshot can share instruction
+        objects.
         """
         insn = self.copy()
         for name, value in fields.items():
             setattr(insn, name, value)
         if "op" in fields and "size" not in fields:
             insn.size = insn.imm if insn.op == _NOPN else FORMAT_SIZES[insn.op]
-        return insn
-
-    def with_annotation(self, key, value):
-        """A copy with one annotation set (the original is untouched)."""
-        insn = self.copy()
-        insn.set_annotation(key, value)
         return insn
 
     # -- rendering --------------------------------------------------------

@@ -27,6 +27,7 @@ arithmetic; ``weight == 1`` is an exact identity.
 import hashlib
 from urllib.parse import unquote
 
+from repro.core.diagnostics import Rule, Severity
 from repro.profiling.profile import BinaryProfile
 
 #: Cap on per-rule, per-shard individual line diagnostics; the
@@ -34,57 +35,44 @@ from repro.profiling.profile import BinaryProfile
 #: cannot flood the collector.
 MAX_LINE_DIAGS = 8
 
-
-class ShardRule:
-    """A stable diagnostic rule for the shard parser/aggregator."""
-
-    __slots__ = ("id", "name", "severity", "summary")
-
-    def __init__(self, rule_id, name, severity, summary):
-        self.id = rule_id
-        self.name = name
-        self.severity = severity        # "warning" | "error"
-        self.summary = summary
-
-    def __repr__(self):
-        return f"<ShardRule {self.id} {self.name} ({self.severity})>"
-
+_E = Severity.ERROR
+_W = Severity.WARNING
 
 FDATA_RULES = {r.id: r for r in [
-    ShardRule("FD001", "branch-line-malformed", "warning",
-              "a branch record does not have the 8-field "
-              "'1 from off 1 to off mispreds count' shape"),
-    ShardRule("FD002", "sample-line-malformed", "warning",
-              "a sample record does not have the 4-field "
-              "'S func off count' shape"),
-    ShardRule("FD003", "unknown-record", "warning",
-              "a line starts with an unknown record discriminator"),
-    ShardRule("FD004", "bad-integer-field", "warning",
-              "an offset/count field is not a parseable integer"),
-    ShardRule("FD005", "negative-count", "warning",
-              "a record carries a negative count or mispredict total"),
-    ShardRule("FD006", "header-conflict", "warning",
-              "a shard repeats a header line with a conflicting value "
-              "(e.g. two different build-ids); the first value wins"),
-    ShardRule("FD007", "shard-event-mismatch", "warning",
-              "shards disagree on sampling event or LBR mode; the "
-              "merge proceeds but counts are not strictly comparable"),
-    ShardRule("FD008", "stale-shard", "warning",
-              "a shard's build-id does not match the target binary "
-              "(or the fleet majority); it is reconciled/downweighted"),
-    ShardRule("FD009", "flat-profile", "warning",
-              "an LBR shard contains no usable branch records; it "
-              "contributes nothing to edge counts"),
-    ShardRule("FD010", "empty-shard", "warning",
-              "a shard contains no records at all"),
-    ShardRule("FD011", "bad-weight", "error",
-              "a shard weight is not a positive finite number; the "
-              "shard is excluded from the merge"),
-    ShardRule("FD012", "shard-unreadable", "error",
-              "a shard could not be read/decoded; it is excluded"),
-    ShardRule("FD013", "low-match-quality", "warning",
-              "a stale shard's fuzzy match quality is below the "
-              "floor; the shard is excluded from the merge"),
+    Rule("FD001", "branch-line-malformed", _W,
+         "a branch record does not have the 8-field "
+         "'1 from off 1 to off mispreds count' shape"),
+    Rule("FD002", "sample-line-malformed", _W,
+         "a sample record does not have the 4-field "
+         "'S func off count' shape"),
+    Rule("FD003", "unknown-record", _W,
+         "a line starts with an unknown record discriminator"),
+    Rule("FD004", "bad-integer-field", _W,
+         "an offset/count field is not a parseable integer"),
+    Rule("FD005", "negative-count", _W,
+         "a record carries a negative count or mispredict total"),
+    Rule("FD006", "header-conflict", _W,
+         "a shard repeats a header line with a conflicting value "
+         "(e.g. two different build-ids); the first value wins"),
+    Rule("FD007", "shard-event-mismatch", _W,
+         "shards disagree on sampling event or LBR mode; the "
+         "merge proceeds but counts are not strictly comparable"),
+    Rule("FD008", "stale-shard", _W,
+         "a shard's build-id does not match the target binary "
+         "(or the fleet majority); it is reconciled/downweighted"),
+    Rule("FD009", "flat-profile", _W,
+         "an LBR shard contains no usable branch records; it "
+         "contributes nothing to edge counts"),
+    Rule("FD010", "empty-shard", _W,
+         "a shard contains no records at all"),
+    Rule("FD011", "bad-weight", _E,
+         "a shard weight is not a positive finite number; the "
+         "shard is excluded from the merge"),
+    Rule("FD012", "shard-unreadable", _E,
+         "a shard could not be read/decoded; it is excluded"),
+    Rule("FD013", "low-match-quality", _W,
+         "a stale shard's fuzzy match quality is below the "
+         "floor; the shard is excluded from the merge"),
 ]}
 
 
@@ -93,7 +81,7 @@ def _emit(diags, rule_id, message, shard=None):
     if diags is None:
         return
     rule = FDATA_RULES[rule_id]
-    record = diags.error if rule.severity == "error" else diags.warning
+    record = diags.error if rule.severity >= Severity.ERROR else diags.warning
     record("merge-fdata", f"{rule_id}: {message}", function=shard)
 
 

@@ -20,6 +20,15 @@ def _entries(name, value, minimum=1):
     return value
 
 
+def _power_of_two(name, value):
+    """A line or page size: a power-of-two integer of at least 1."""
+    _entries(name, value)
+    if value & (value - 1):
+        raise ValueError(f"UarchConfig {name} must be a power of two, "
+                         f"got {value!r}")
+    return value
+
+
 class UarchConfig:
     """Sizes and penalties for the performance model.
 
@@ -33,8 +42,9 @@ class UarchConfig:
     ``l2_hit_latency`` must be non-negative whole numbers (stored as
     ints).  The L1 and LLC sizes, every associativity and the TLB, BTB
     and return-stack sizes must be integers of at least 1, and
-    ``l2_size`` and ``bp_table_bits`` integers of at least 0.  Anything
-    else raises ``ValueError`` naming the field.
+    ``l2_size`` and ``bp_table_bits`` integers of at least 0, and
+    ``line_size`` and ``page_size`` powers of two.  Anything else raises
+    ``ValueError`` naming the field.
     """
 
     def __init__(
@@ -64,7 +74,7 @@ class UarchConfig:
         llc_miss_penalty=120,
         tlb_miss_penalty=30,
     ):
-        self.line_size = line_size
+        self.line_size = _power_of_two("line_size", line_size)
         self.l1i_size = _entries("l1i_size", l1i_size)
         self.l1i_assoc = _entries("l1i_assoc", l1i_assoc)
         self.l1d_size = _entries("l1d_size", l1d_size)
@@ -75,7 +85,7 @@ class UarchConfig:
         self.l2_assoc = _entries("l2_assoc", l2_assoc)
         self.l2_hit_latency = _cycles("l2_hit_latency", l2_hit_latency)
         self.prefetch_next_line = prefetch_next_line
-        self.page_size = page_size
+        self.page_size = _power_of_two("page_size", page_size)
         self.itlb_entries = _entries("itlb_entries", itlb_entries)
         self.dtlb_entries = _entries("dtlb_entries", dtlb_entries)
         self.btb_entries = _entries("btb_entries", btb_entries)

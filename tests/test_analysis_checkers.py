@@ -69,7 +69,7 @@ def test_bl001_tail_call_with_live_frame():
     func = make_func()
     func.add_block(block("e", [
         Instruction(Op.PUSH, (RBX,)),
-        Instruction(Op.JMP_NEAR, sym=SymRef("other", "branch")),
+        Instruction(Op.JMP_NEAR, sym=SymRef("other")),
     ]))
     assert "BL001" in rules(check_function(func))
 
@@ -80,7 +80,7 @@ def test_cold_fragment_transfer_is_not_a_tail_call():
     func = make_func()
     func.add_block(block("e", [
         Instruction(Op.PUSH, (RBX,)),
-        Instruction(Op.JMP_NEAR, sym=SymRef("f.cold.0", "branch")),
+        Instruction(Op.JMP_NEAR, sym=SymRef("f.cold.0")),
     ]))
     assert check_function(func) == []
 
@@ -231,7 +231,7 @@ def _jump_table_func(entries, successors, size=None):
     table = JumpTable(0x2000, size if size is not None else 8 * len(entries),
                       list(entries), ".rodata")
     insn = Instruction(Op.JMP_REG, (RAX,))
-    insn.set_annotation("jump-table", table)
+    insn.jump_table = table
     e = block("e", [insn])
     for succ in successors:
         e.set_edge(succ)

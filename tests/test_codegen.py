@@ -12,6 +12,7 @@ from repro.codegen import (
 from repro.codegen.machine import MachineBlock, MachineFunction
 from repro.ir import build_module
 from repro.isa import (
+    ARG_REGS,
     CondCode,
     Instruction,
     Op,
@@ -69,26 +70,32 @@ def test_repz_ret_option():
     assert ops_of(mf)[-1] == Op.RET
 
 
-def test_param_homing_annotation():
-    mf = select("""
+def _promoted_and_homed(mf):
+    """Argument registers the prologue moves into a promoted register,
+    and those it stores to a frame slot."""
+    entry = mf.blocks[0].insns
+    promoted = [i.regs[1] for i in entry
+                if i.op == Op.MOV_RR and i.regs[1] in ARG_REGS]
+    homed = {i.regs[1] for i in entry
+             if i.op == Op.STORE and i.regs[0] == RBP}
+    return promoted, homed
+
+
+def test_param_homing():
+    text = """
 func f(a) {
   var s = 0;
   var i = 0;
   while (i < a) { s = s + a; i = i + 1; }
   return s;
 }
-""", "f", naive_param_homing=True)
-    homes = [i for i in all_insns(mf) if i.get_annotation("param-home")]
-    assert homes
-    mf2 = select("""
-func f(a) {
-  var s = 0;
-  var i = 0;
-  while (i < a) { s = s + a; i = i + 1; }
-  return s;
-}
-""", "f", naive_param_homing=False)
-    assert not [i for i in all_insns(mf2) if i.get_annotation("param-home")]
+"""
+    promoted, homed = _promoted_and_homed(
+        select(text, "f", naive_param_homing=True))
+    assert promoted and all(reg in homed for reg in promoted)
+    promoted, homed = _promoted_and_homed(
+        select(text, "f", naive_param_homing=False))
+    assert promoted and not any(reg in homed for reg in promoted)
 
 
 def test_tail_call_direct():
@@ -175,7 +182,7 @@ func f(x) {
 }
 """, "f")
     calls = [i for i in all_insns(mf) if i.op == Op.CALL]
-    assert any(i.get_annotation("lp") for i in calls)
+    assert any(i.lp for i in calls)
 
 
 def test_loop_alignment_annotation():
@@ -280,10 +287,8 @@ def test_callsite_merging():
     call1.sym = None
     from repro.isa import SymRef
 
-    call1 = Instruction(Op.CALL, sym=SymRef("g", "branch"))
-    call1.set_annotation("lp", "lp")
-    call2 = Instruction(Op.CALL, sym=SymRef("g", "branch"))
-    call2.set_annotation("lp", "lp")
+    call1 = Instruction(Op.CALL, sym=SymRef("g"), lp="lp")
+    call2 = Instruction(Op.CALL, sym=SymRef("g"), lp="lp")
     b0.insns = [call1, call2, Instruction(Op.RET)]
     lp = MachineBlock("lp")
     lp.insns = [Instruction(Op.RET)]

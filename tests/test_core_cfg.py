@@ -78,7 +78,7 @@ func main() { return f(); }
 """)], build_options=BuildOptions(inline=InlinePolicy(max_size=0)))
     f = context.functions["f"]
     tails = [i for b in f.blocks.values() for i in b.insns
-             if i.get_annotation("tailcall", "!") != "!"]
+             if i.tailcall]
     assert tails and tails[0].sym.name == "target"
 
 
@@ -140,7 +140,7 @@ func main() { return f(1); }
     callers = [b for b in f.blocks.values() if lps[0].label in b.landing_pads]
     assert callers
     call = [i for b in callers for i in b.insns
-            if i.get_annotation("lp") == lps[0].label]
+            if i.lp == lps[0].label]
     assert call
 
 
@@ -178,9 +178,9 @@ def test_plt_annotation():
         build_options=BuildOptions(inline=InlinePolicy(max_size=0)))
     main = context.functions["main"]
     plt_calls = [i for b in main.blocks.values() for i in b.insns
-                 if i.get_annotation("plt") is not None]
+                 if i.plt is not None]
     assert plt_calls
-    got_addr, target = plt_calls[0].get_annotation("plt")
+    got_addr, target = plt_calls[0].plt
     assert exe.get_symbol("util").value == target
 
 
@@ -216,7 +216,7 @@ func main() {
 def test_line_annotations_present():
     exe, context = analyzed([("m", "func main() { out 1; return 0; }")])
     main = context.functions["main"]
-    locs = [i.get_annotation("loc") for b in main.blocks.values()
+    locs = [i.loc for b in main.blocks.values()
             for i in b.insns]
     assert any(loc is not None for loc in locs)
     assert any(loc and loc[0] == "m.bc" for loc in locs)
@@ -262,8 +262,8 @@ func main() {
 """)
 
 
-def _attach(lbr=True, trust=True, mcf=True):
-    options = BoltOptions(trust_fall_through=trust, use_mcf=mcf)
+def _attach(lbr=True, trust=True):
+    options = BoltOptions(trust_fall_through=trust)
     exe, _ = build_executable(
         [BRANCHY], BuildOptions(inline=InlinePolicy(max_size=0)),
         emit_relocs=True)
@@ -329,10 +329,6 @@ def test_attach_nolbr_mcf():
     total_edges = sum(
         sum(b.edge_counts.values()) for b in skewed.blocks.values())
     assert total_edges > 0
-
-
-def test_attach_nolbr_proportional():
-    context, profile, cpu = _attach(lbr=False, mcf=False)
     main = context.functions["main"]
     assert any(
         count > 0 for b in main.blocks.values()
@@ -367,7 +363,7 @@ func main() {
     profile, _ = profile_binary(exe, sampling=SamplingConfig(period=31))
     attach_profile(context, profile)
     caller = context.functions["caller"]
-    targets = [i.get_annotation("call-targets")
+    targets = [i.call_targets
                for b in caller.blocks.values() for i in b.insns
                if i.op == Op.CALL_REG]
     assert targets and targets[0]

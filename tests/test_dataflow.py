@@ -47,7 +47,7 @@ def test_call_clobbers_caller_saved():
     from repro.isa import SymRef
     from repro.isa.registers import CALLER_SAVED
 
-    uses, defs = insn_uses_defs(Instruction(Op.CALL, sym=SymRef("f", "branch")))
+    uses, defs = insn_uses_defs(Instruction(Op.CALL, sym=SymRef("f")))
     assert set(CALLER_SAVED) <= defs
     assert RBX not in defs  # callee-saved survive
 
@@ -261,7 +261,7 @@ def test_every_opcode_is_modeled():
 # Properties against the definitions, on random small CFGs
 # ---------------------------------------------------------------------------
 
-_G = SymRef("g", "branch")
+_G = SymRef("g")
 _INSNS = [
     Instruction(Op.MOV_RR, (RAX, RBX)),
     Instruction(Op.MOV_RR, (RCX, RDI)),
@@ -271,7 +271,7 @@ _INSNS = [
     Instruction(Op.SETCC, (RDI,), imm=0),
     Instruction(Op.CALL, sym=_G),
     Instruction(Op.RET),
-    Instruction(Op.JMP_NEAR, sym=_G).with_annotation("tailcall", "g"),
+    Instruction(Op.JMP_NEAR, sym=_G).replace(tailcall=True),
 ]
 
 # Edges and landing pads are arbitrary, so the graphs include
@@ -350,7 +350,7 @@ def test_prop_liveness_matches_per_register_search(cfg):
     for label, block in func.blocks.items():
         last = block.insns[-1] if block.insns else None
         if not _succs(block) or (last is not None and (
-                last.is_return or last.get_annotation("tailcall"))):
+                last.is_return or last.tailcall)):
             exits.add(label)
 
     for reg in range(FLAGS + 1):

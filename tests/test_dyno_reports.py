@@ -91,7 +91,7 @@ def test_report_bad_layout_detects_sandwich():
     func.blocks[".LFT0"].exec_count = 0
     func.blocks[".Ltmp0"].exec_count = 95
     func.has_profile = True
-    func.blocks[".LFT0"].insns[0].set_annotation("loc", ("f.bc", 42))
+    func.blocks[".LFT0"].insns[0].loc = ("f.bc", 42)
 
     class FakeContext:
         functions = {"f": func}

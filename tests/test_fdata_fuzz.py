@@ -91,7 +91,8 @@ def test_diagnostic_flood_is_capped():
 
 def test_rule_table_is_stable():
     """The rule IDs are a public contract (suppressions, CI gates)."""
-    assert {rule_id: rule.severity for rule_id, rule in FDATA_RULES.items()} == {
+    assert {rule_id: rule.severity.name.lower()
+            for rule_id, rule in FDATA_RULES.items()} == {
         "FD001": "warning", "FD002": "warning", "FD003": "warning",
         "FD004": "warning", "FD005": "warning", "FD006": "warning",
         "FD007": "warning", "FD008": "warning", "FD009": "warning",

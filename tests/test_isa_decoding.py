@@ -23,7 +23,8 @@ _OPERANDS = {
     "rel32": _INT32,
 }
 _FIELDS = ("op", "regs", "imm", "disp", "addr", "cc", "target", "label",
-           "sym", "address", "size", "annotations")
+           "sym", "address", "size", "loc", "lp", "jump_table", "tailcall",
+           "plt", "call_targets", "call_mispreds")
 
 
 def _draw_instruction(data, op, address):
@@ -54,7 +55,9 @@ def _draw_instruction(data, op, address):
         fields["cc"] = data.draw(st.sampled_from(list(CondCode)))
     insn = Instruction(op, regs, **fields)
     return insn, dict(fields, op=op, regs=tuple(regs), label=None, sym=None,
-                      address=address, size=insn.size, annotations=None)
+                      address=address, size=insn.size, loc=None, lp=None,
+                      jump_table=None, tailcall=False, plt=None,
+                      call_targets=None, call_mispreds=0)
 
 
 @pytest.mark.parametrize("op", [op for op in Op if op != Op.PREFIX_0F],

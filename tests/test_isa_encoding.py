@@ -205,14 +205,25 @@ def test_classification():
     assert Instruction(Op.PUSH, (RAX,)).writes_memory
 
 
-def test_annotations():
-    insn = Instruction(Op.NOP)
-    assert insn.get_annotation("x") is None
-    insn.set_annotation("x", 42)
-    assert insn.get_annotation("x") == 42
-    clone = insn.copy()
-    clone.set_annotation("x", 1)
-    assert insn.get_annotation("x") == 42
+def test_copy_and_replace_carry_every_field():
+    insn = Instruction(Op.CALL)
+    for k, name in enumerate(Instruction.__slots__):
+        if name not in ("op", "size"):
+            setattr(insn, name, ("field", k))
+    fields = {name: getattr(insn, name) for name in Instruction.__slots__}
+
+    def fields_of(other):
+        return {name: getattr(other, name) for name in Instruction.__slots__}
+
+    for clone in (insn.copy(), insn.replace()):
+        assert clone is not insn
+        assert fields_of(clone) == fields
+        assert all(getattr(clone, n) is v for n, v in fields.items())
+    changed = insn.replace(lp=".LLP1", tailcall=True, op=Op.JMP_NEAR)
+    assert fields_of(changed) == dict(fields, lp=".LLP1", tailcall=True,
+                                      op=Op.JMP_NEAR, size=5)
+    changed.loc = ("m.bc", 1)
+    assert fields_of(insn) == fields
 
 
 def test_str_rendering():

@@ -233,7 +233,7 @@ def test_individual_pass_toggles(baseline):
     for flag in ("icf", "icp", "peepholes", "inline_small",
                  "simplify_ro_loads", "plt", "sctc", "frame_opts",
                  "shrink_wrapping", "strip_rep_ret", "strip_nops",
-                 "split_eh", "trust_fall_through", "use_mcf"):
+                 "split_eh", "trust_fall_through"):
         result = optimize_binary(exe, profile,
                                  BoltOptions(**{flag: False}))
         assert run_binary(result.binary).output == cpu.output, flag

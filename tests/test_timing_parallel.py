@@ -201,13 +201,13 @@ def test_restore_preserves_jump_table_identity(baseline):
         table.entries.reverse()
     func.jump_tables = []
     restore_function(func, snap)
-    annotated = [insn.get_annotation("jump-table")
+    annotated = [insn.jump_table
                  for block in func.blocks.values()
                  for insn in block.insns
-                 if insn.get_annotation("jump-table") is not None]
+                 if insn.jump_table is not None]
     assert annotated
-    # Tables are restored in place: the shared instructions' annotations
-    # still point at the function's own table objects.
+    # Tables are restored in place: the shared instructions' jump_table
+    # fields still point at the function's own table objects.
     assert all(a is b for a, b in zip(func.jump_tables, tables))
     assert [t.entries for t in func.jump_tables] == entries
     for table in annotated:

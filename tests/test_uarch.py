@@ -444,6 +444,16 @@ def test_uarch_config_rejects_unbuildable_geometry(field, value):
         UarchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["line_size", "page_size"])
+@pytest.mark.parametrize("value", [0, -64, 48, 64.0, True, "64"])
+def test_uarch_config_rejects_bad_line_and_page_size(field, value):
+    """``page_size=0`` used to raise ``negative shift count`` and
+    ``line_size=0`` ``ZeroDivisionError`` once a run started, naming no
+    field."""
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: value})
+
+
 def test_uarch_config_geometry_lower_bounds_run():
     config = UarchConfig(l1d_size=256, l1d_assoc=1, l2_size=0,
                          bp_table_bits=0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.compiler import BuildOptions, build_executable
-from repro.core import BinaryContext, BoltOptions
+from repro.core import BinaryContext, BoltOptions, optimize_binary
+from repro.core import rewriter
 from repro.core._reference_kernels import (
     format_size_reference,
     insn_uses_defs_reference,
@@ -22,6 +23,7 @@ from repro.core.dataflow import (
     insn_uses_defs,
 )
 from repro.core.discovery import discover_functions
+from repro.core.emitter import emit_function
 from repro.core.passes.base import BinaryPass, build_pipeline
 from repro.core.passes.icf import _function_key
 from repro.core.profile_attach import attach_profile
@@ -181,8 +183,10 @@ def _fingerprint(insn):
     sym = insn.sym
     return (insn.op, insn.regs, insn.imm, insn.disp, insn.addr, insn.cc,
             insn.target, insn.label,
-            None if sym is None else (sym.name, sym.kind, sym.addend),
-            insn.address, insn.size, _freeze(insn.annotations or {}))
+            None if sym is None else (sym.name, sym.addend),
+            insn.address, insn.size,
+            _freeze((insn.loc, insn.lp, insn.jump_table, insn.tailcall,
+                     insn.plt, insn.call_targets, insn.call_mispreds)))
 
 
 def test_passes_never_mutate_instructions_in_place(mini, monkeypatch):
@@ -213,6 +217,26 @@ def test_passes_never_mutate_instructions_in_place(mini, monkeypatch):
         assert name in checked
 
 
+def test_emission_never_mutates_cfg_instructions(mini, monkeypatch):
+    """A call whose landing pad sits in the other fragment is emitted as
+    a new instruction; the CFG's own call keeps its ``lp``."""
+    exe, profile = mini
+    calls = []
+
+    def emit(func, options):
+        calls.extend((insn, insn.lp) for block in func.blocks.values()
+                     for insn in block.insns if insn.is_call)
+        return emit_function(func, options)
+
+    monkeypatch.setattr(rewriter, "emit_function", emit)
+    result = optimize_binary(exe, profile)
+    # The corpus splits a call away from its landing pad.
+    assert any(fragment.extern_callsites
+               for fragment in result.fragments.values()
+               if not fragment.raw)
+    assert [(insn, lp) for insn, lp in calls if insn.lp != lp] == []
+
+
 # -- containment --------------------------------------------------------------
 
 
@@ -224,7 +248,7 @@ class _ReplaceThenRaise(BinaryPass):
     def run_on_function(self, context, func):
         for block in func.blocks.values():
             for i, insn in enumerate(block.insns):
-                block.insns[i] = insn.with_annotation("touched", True)
+                block.insns[i] = insn.replace(loc=("touched", 0))
             block.insns.append(Instruction(Op.NOP))
             block.successors.append(".nowhere")
             block.edge_counts[".nowhere"] = 5
@@ -248,16 +272,16 @@ def test_containment_restores_the_deepcopy_state(recursive):
     result, exc = _ReplaceThenRaise()._attempt(context, func)
     assert result is None and isinstance(exc, RuntimeError)
     assert dump_function(func) == dump_function(expected)
-    assert not any(insn.get_annotation("touched")
+    assert not any(insn.loc == ("touched", 0)
                    for block in func.blocks.values() for insn in block.insns)
     assert func.analysis_facts == expected.analysis_facts
     assert [t.entries for t in func.jump_tables] == \
         [t.entries for t in expected.jump_tables]
-    # Tables are restored in place: "jump-table" annotations still
-    # point at the function's own table objects.
+    # Tables are restored in place: jump_table fields still point at
+    # the function's own table objects.
     assert all(a is b for a, b in zip(func.jump_tables, tables))
-    annotated = [insn.get_annotation("jump-table")
+    annotated = [insn.jump_table
                  for block in func.blocks.values() for insn in block.insns
-                 if insn.get_annotation("jump-table") is not None]
+                 if insn.jump_table is not None]
     assert annotated
     assert all(any(t is own for own in func.jump_tables) for t in annotated)
