@@ -9,6 +9,8 @@ counts for a faster smoke run, e.g.::
 """
 
 import os
+import pathlib
+import sys
 
 import pytest
 
@@ -23,6 +25,12 @@ from repro.harness import (
 from repro.workloads import FACEBOOK_NAMES, make_workload
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+
+# The reference implementations some benchmarks time against live
+# in the ``tests.oracles`` package at the repository root.
+_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 def scaled(name, **overrides):

@@ -15,6 +15,11 @@ Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
 * **End-to-end** — the full ``optimize_binary`` pipeline on the
   compiler workload, fast kernels vs the pre-PR kernels monkeypatched
   back in.  Acceptance: >= 2x faster.
+* **Front end** — ``parse_module`` on every preset's BC sources at
+  seeds 0-2, the regex scanner and value-keyed parser against the
+  character-loop lexer and parser in ``tests.oracles``; the ASTs must
+  be equal and the new path faster.  These inputs do not depend on
+  ``REPRO_BENCH_SCALE``.
 
 Run with::
 
@@ -60,6 +65,9 @@ _RESULTS = {}
 def _record(section, payload):
     _RESULTS[section] = payload
     doc = {"scale": SCALE, **_RESULTS}
+    if section == "front_end" and _BENCH_PATH.exists():
+        # Its inputs do not scale: keep the other sections and their scale.
+        doc = {**json.loads(_BENCH_PATH.read_text()), section: payload}
     _BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -364,3 +372,51 @@ def test_end_to_end_processing_time(monkeypatch):
         "passes": timing_fast.as_dict().get("passes", []),
     })
     assert speedup >= 2.0, f"acceptance: expected >= 2x, got {speedup:.2f}x"
+
+
+def test_front_end_processing_time():
+    """BC front end: lexing and parsing every preset, new vs oracle."""
+    from repro.lang import Lexer, parse_module
+    from tests.oracles import ast_key, preset_sources
+    from tests.oracles import lexer as old_lexer
+    from tests.oracles import parser as old_parser
+
+    sources = [source for seed in (0, 1, 2) for source in preset_sources(seed)]
+
+    def lex_all(lexer):
+        return sum(len(lexer(text, f"{name}.bc").tokens())
+                   for name, text in sources)
+
+    def parse_all(parse):
+        for name, text in sources:
+            parse(text, name)
+
+    for name, text in sources:
+        assert ast_key(parse_module(text, name)) == \
+            ast_key(old_parser.parse_module(text, name)), name
+    _, t_new = _timed(parse_all, parse_module, repeat=2)
+    _, t_ref = _timed(parse_all, old_parser.parse_module, repeat=2)
+    tokens, t_lex = _timed(lex_all, Lexer, repeat=2)
+    tokens_ref, t_lex_ref = _timed(lex_all, old_lexer.Lexer, repeat=2)
+    assert tokens == tokens_ref
+
+    rows = [("lex", t_lex_ref, t_lex),
+            ("lex + parse (parse_module)", t_ref, t_new)]
+    print_table(
+        f"BC front end, {len(sources)} preset sources "
+        f"({sum(len(text) for _, text in sources)} chars)",
+        ("stage", "reference", "fast", "speedup"),
+        [(n, f"{r:.3f}s", f"{f:.3f}s", f"{r / max(f, 1e-9):.1f}x")
+         for (n, r, f) in rows])
+    _record("front_end", {
+        "sources": len(sources),
+        "chars": sum(len(text) for _, text in sources),
+        "tokens": tokens,
+        "lex": {"reference_s": round(t_lex_ref, 4),
+                "fast_s": round(t_lex, 4),
+                "speedup": round(t_lex_ref / max(t_lex, 1e-9), 2)},
+        "parse_module": {"reference_s": round(t_ref, 4),
+                         "fast_s": round(t_new, 4),
+                         "speedup": round(t_ref / max(t_new, 1e-9), 2)},
+    })
+    assert t_new < t_ref

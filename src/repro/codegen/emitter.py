@@ -141,12 +141,14 @@ def assemble_function(mf, normalize=True):
         for insn in block.insns:
             offset = len(code)
             if id(insn) in long_form:
+                # Emit the relaxed form as a new instruction: the caller's
+                # (a BOLT CFG's) branch keeps its own op, size and target.
                 if insn.op in (Op.JCC_SHORT, Op.JCC_LONG):
-                    insn.op = Op.JCC_LONG if long_form[id(insn)] else Op.JCC_SHORT
+                    op = Op.JCC_LONG if long_form[id(insn)] else Op.JCC_SHORT
                 else:
-                    insn.op = Op.JMP_NEAR if long_form[id(insn)] else Op.JMP_SHORT
-                insn.size = size_of(insn)
-                insn.target = offsets[insn.label]
+                    op = Op.JMP_NEAR if long_form[id(insn)] else Op.JMP_SHORT
+                insn = insn.replace(op=op, size=size_of(insn),
+                                    target=offsets[insn.label])
             image.insn_offsets.append((offset, insn))
 
             loc = insn.loc

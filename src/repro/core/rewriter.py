@@ -54,6 +54,11 @@ class RewriteError(Exception):
     pass
 
 
+class InputConflict(RewriteError):
+    """The input itself rules the rewrite out in every mode, so the
+    degradation ladder reports it once and does not retry in-place."""
+
+
 class RewriteResult:
     def __init__(self, binary, context, pass_stats, dyno_before, dyno_after):
         self.binary = binary
@@ -179,10 +184,18 @@ def optimize_binary(binary, profile=None, options=None):
         attempts.append(("in-place", options.copy(use_relocations=False)))
 
     carried = []
+    why = ("all rewrite attempts failed validation; returning the original "
+           "binary unchanged")
     for degraded, opts in attempts:
         suffix = "" if degraded is None else f":{degraded}"
         try:
             result = _optimize_once(binary, profile, opts)
+        except InputConflict as exc:
+            if options.strict:
+                raise
+            carried.append(("rewrite", str(exc)))
+            why = "returning the original binary unchanged"
+            break
         except Exception as exc:
             if options.strict:
                 raise
@@ -207,10 +220,7 @@ def optimize_binary(binary, profile=None, options=None):
                        for problem in problems[:10])
 
     # Last rung: ship the original binary unmodified.
-    return _passthrough_result(
-        binary, profile, options, carried,
-        "all rewrite attempts failed validation; returning the original "
-        "binary unchanged")
+    return _passthrough_result(binary, profile, options, carried, why)
 
 
 def _phase(timing, name):
@@ -394,6 +404,15 @@ def _rewrite(context, result):
 
     cold = None
     if cold_size:
+        if TEXT_COLD in out.sections:
+            # A BOLTed input: its cold fragments already own the name.
+            split = sorted(f.func.name for f in fragments.values()
+                           if f.is_cold)
+            raise InputConflict(
+                f"input already has a {TEXT_COLD} section (an earlier BOLT "
+                f"run's cold code); cannot emit new cold fragments for "
+                f"{len(split)} function(s): {', '.join(split[:3])}"
+                f"{', ...' if len(split) > 3 else ''}")
         cold = Section(TEXT_COLD, flags=SectionFlag.ALLOC | SectionFlag.EXEC,
                        addr=cold_base, data=b"\x01" * cold_size,
                        align=PAGE_SIZE)

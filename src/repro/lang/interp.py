@@ -14,8 +14,8 @@ enclosing scope only when that branch runs.
 
 ``steps`` counts one per statement and one per expression node
 evaluated, exactly as the tree-walker in
-:mod:`repro.lang._reference_interp` (the oracle the closures are tested
-against) does.  The closures charge the count in *segments*: a segment
+:mod:`tests.oracles.reference_interp` (the oracle the closures are
+tested against) does.  The closures charge the count in *segments*: a segment
 is a run of nodes that evaluate with nothing observable between them,
 and it is charged, and checked against ``max_steps``, before its first
 node runs.  A segment ends wherever something can happen that depends

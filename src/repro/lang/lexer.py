@@ -1,6 +1,19 @@
-"""Lexer for the BC language."""
+"""Lexer for the BC language.
+
+The scanner splits the source at ``\n`` and runs one compiled master
+regex over each line with ``findall``: ``//`` comments, hex literals,
+decimal runs, word runs, the punctuators (longest first, so the
+regex's ordered alternation is maximal munch) and, last, any other
+non-blank character.  ``findall`` skips only what no alternative
+matches, which is exactly the blanks `` \t\r``.  Each matched string
+is then classified with one dict lookup (keywords and punctuators) or
+a first-character test.  Only ``\n`` ends a line: ``\v``, ``\f`` and
+the Unicode line separators are unexpected characters.
+"""
 
 import enum
+import re
+import string
 
 
 class LexError(Exception):
@@ -101,72 +114,62 @@ class Token:
         return f"Token({self.type.value}, {self.value!r}, line {self.line})"
 
 
+# ``\d`` matches exactly the characters ``int()`` accepts as digits
+# (Unicode category Nd, ``str.isdecimal``), and ``\w`` exactly
+# ``str.isalnum()`` plus ``_``, the old identifier-continue test.  A word
+# run that does not start with a letter or ``_`` (``²``, ``½``) is an
+# unexpected character.
+_TOKEN_RE = re.compile(
+    "|".join(
+        [r"//.*", r"0[xX][0-9a-fA-F]*", r"\d+", r"\w+"]
+        + [re.escape(punct) for punct in _PUNCTUATION]
+        + [r"[^ \t\r]"]
+    )
+)
+
+# Keywords and punctuators are their own values: one lookup gives the type.
+_FIXED = {word: TokenType.KEYWORD for word in KEYWORDS}
+_FIXED.update((punct, TokenType.PUNCT) for punct in _PUNCTUATION)
+
+_IDENT_START = frozenset(string.ascii_letters + "_")
+
+
 class Lexer:
     """Tokenizes one BC source file."""
 
     def __init__(self, source, file="<input>"):
         self.source = source
         self.file = file
-        self.pos = 0
-        self.line = 1
 
     def tokens(self):
         """Produce the full token list, ending with an EOF token."""
+        file = self.file
+        fixed = _FIXED.get
+        ident_start = _IDENT_START
+        ident, num = TokenType.IDENT, TokenType.NUM
+        findall = _TOKEN_RE.findall
         out = []
-        while True:
-            token = self._next()
-            out.append(token)
-            if token.type == TokenType.EOF:
-                return out
-
-    def _error(self, message):
-        raise LexError(message, self.file, self.line)
-
-    def _next(self):
-        src = self.source
-        n = len(src)
-        while self.pos < n:
-            ch = src[self.pos]
-            if ch == "\n":
-                self.line += 1
-                self.pos += 1
-            elif ch in " \t\r":
-                self.pos += 1
-            elif ch == "/" and self.pos + 1 < n and src[self.pos + 1] == "/":
-                while self.pos < n and src[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                break
-        if self.pos >= n:
-            return Token(TokenType.EOF, None, self.file, self.line)
-
-        ch = src[self.pos]
-        if ch.isdigit():
-            start = self.pos
-            if ch == "0" and self.pos + 1 < n and src[self.pos + 1] in "xX":
-                self.pos += 2
-                while self.pos < n and src[self.pos] in "0123456789abcdefABCDEF":
-                    self.pos += 1
-                if self.pos == start + 2:
-                    self._error("malformed hex literal")
-                value = int(src[start : self.pos], 16)
-            else:
-                while self.pos < n and src[self.pos].isdigit():
-                    self.pos += 1
-                value = int(src[start : self.pos])
-            return Token(TokenType.NUM, value, self.file, self.line)
-
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < n and (src[self.pos].isalnum() or src[self.pos] == "_"):
-                self.pos += 1
-            word = src[start : self.pos]
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            return Token(kind, word, self.file, self.line)
-
-        for punct in _PUNCTUATION:
-            if src.startswith(punct, self.pos):
-                self.pos += len(punct)
-                return Token(TokenType.PUNCT, punct, self.file, self.line)
-
-        self._error(f"unexpected character {ch!r}")
+        append = out.append
+        line = 0
+        for text in self.source.split("\n"):
+            line += 1
+            for word in findall(text):
+                kind = fixed(word)
+                if kind is not None:
+                    append(Token(kind, word, file, line))
+                    continue
+                first = word[0]
+                if first in ident_start or first.isalpha():
+                    append(Token(ident, word, file, line))
+                elif word.isdecimal():
+                    append(Token(num, int(word), file, line))
+                elif word[:2] == "//":
+                    break
+                elif first == "0" and word[1:2] in ("x", "X"):
+                    if len(word) == 2:
+                        raise LexError("malformed hex literal", file, line)
+                    append(Token(num, int(word, 16), file, line))
+                else:
+                    raise LexError(f"unexpected character {first!r}", file, line)
+        append(Token(TokenType.EOF, None, file, line))
+        return out

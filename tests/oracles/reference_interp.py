@@ -3,9 +3,9 @@
 This is the interpreter :mod:`repro.lang.interp` had before it compiled
 function bodies to closures.  It is kept as the equivalence oracle for
 the closure compiler -- the same pattern as
-:mod:`repro.uarch._reference_cpu` -- and only tests import it: a program
-must give the same ``steps``, ``output``, return value and error under
-both.  It raises :class:`repro.lang.interp.BCError`, so the error types
+:mod:`repro.uarch._reference_cpu` -- and only tests import it: a
+program must give the same ``steps``, ``output``, return value and
+error under both.  It raises :class:`repro.lang.interp.BCError`, so the error types
 compare equal.
 """
 

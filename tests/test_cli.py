@@ -226,3 +226,14 @@ def test_cli_whitespace_in_symbol_name_roundtrips(workdir, capsys):
     capsys.readouterr()
     assert main(["run", str(bolted)]) == 0
     assert capsys.readouterr().out == baseline
+
+
+def test_cli_build_non_decimal_digit_names_file_and_line(tmp_path, capsys):
+    """``²`` passes ``str.isdigit`` but is no number: one front-end
+    diagnostic at file:line, not a bare ``int()`` failure."""
+    source = tmp_path / "sup.bc"
+    source.write_text("func main() {\n  return ²;\n}\n", encoding="utf-8")
+    assert main(["build", str(source), "-o", str(tmp_path / "sup.belf")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: sup.bc:2: unexpected character '²'"]
+    assert not (tmp_path / "sup.belf").exists()

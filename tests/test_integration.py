@@ -101,7 +101,9 @@ def test_rebolt_chain_reaches_fixed_point(mini, expected):
     cycles = []
     for _ in range(3):
         profile, _ = sample_profile(binary, inputs=mini.inputs)
-        binary = run_bolt(binary, profile).binary
+        result = run_bolt(binary, profile)
+        assert result.degraded is None
+        binary = result.binary
         cpu = measure(binary, inputs=mini.inputs)
         assert cpu.output == expected
         cycles.append(cpu.counters.cycles)

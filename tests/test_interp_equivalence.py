@@ -1,7 +1,7 @@
 """The closure-compiled interpreter against the tree-walker it replaced.
 
 ``repro.lang.interp.Interpreter`` compiles each function body to
-closures; ``repro.lang._reference_interp.ReferenceInterpreter`` is the
+closures; ``tests.oracles.reference_interp.ReferenceInterpreter`` is the
 AST walker it was, kept as the oracle.  Every program must give both the
 same ``steps``, ``output``, return value, and error type and message.
 ``steps`` matters beyond the oracle: perfbench rescales each seeded
@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.lang import parse_module
-from repro.lang._reference_interp import ReferenceInterpreter
 from repro.lang.interp import BCError, Interpreter
 from repro.workloads import PRESETS, generate_workload
+from tests.oracles.reference_interp import ReferenceInterpreter
 from tests.strategies import workload_specs
 
 

@@ -17,6 +17,7 @@ from repro.lang import (
     parse_module,
 )
 from repro.lang.interp import Interpreter, BCError
+from tests.strategies import bc_text
 
 
 def lex(text):
@@ -72,6 +73,81 @@ def test_lex_bad_hex():
 
 def test_lex_eof():
     assert lex("")[-1].type == TokenType.EOF
+
+
+@pytest.mark.parametrize("text, line, char", [
+    ("func main() { return \u00b2; }", 1, "\u00b2"),
+    ("a\n1\u00b2", 2, "\u00b2"),
+    ("\n\n\u00b2x", 3, "\u00b2"),
+    ("\u00bd", 1, "\u00bd"),
+])
+def test_lex_non_decimal_digit_is_lex_error(text, line, char):
+    # ``²`` passes ``str.isdigit`` but not ``int()``: the character loop
+    # raised a bare ValueError with no file or line.
+    with pytest.raises(LexError) as exc:
+        lex(text)
+    assert str(exc.value) == f"t.bc:{line}: unexpected character {char!r}"
+    assert exc.value.line == line
+
+
+def test_lex_unicode_decimal_digits_and_letters():
+    tokens = lex("1\u0663 \u0663 x\u00b2 \u00e9t\u00e9")
+    assert [(t.type, t.value) for t in tokens[:-1]] == [
+        (TokenType.NUM, 13), (TokenType.NUM, 3),
+        (TokenType.IDENT, "x\u00b2"), (TokenType.IDENT, "\u00e9t\u00e9")]
+
+
+@given(bc_text())
+def test_prop_only_keyword_and_punct_tokens_carry_their_strings(text):
+    """The parser compares token values only; this is why that is safe."""
+    from repro.lang.lexer import KEYWORDS, _PUNCTUATION
+
+    fixed = KEYWORDS | set(_PUNCTUATION)
+    try:
+        tokens = lex(text)
+    except LexError:
+        return
+    for token in tokens:
+        if token.type in (TokenType.KEYWORD, TokenType.PUNCT):
+            assert token.value in fixed
+        elif token.type == TokenType.NUM:
+            assert type(token.value) is int
+        elif token.type == TokenType.IDENT:
+            assert isinstance(token.value, str) and token.value not in fixed
+        else:
+            assert token.value is None
+
+
+def test_parser_only_compares_keywords_and_punctuators():
+    """Every string the parser matches a token's value against is a
+    keyword or punctuator, so a value match implies the token type."""
+    import ast as pyast
+    import inspect
+
+    from repro.lang import parser as parser_module
+    from repro.lang.lexer import KEYWORDS, _PUNCTUATION
+
+    fixed = KEYWORDS | set(_PUNCTUATION)
+    matched = set(parser_module._PRECEDENCE) | set(parser_module._COMPOUND_OPS)
+    tree = pyast.parse(inspect.getsource(parser_module))
+    for node in pyast.walk(tree):
+        if (isinstance(node, pyast.Call)
+                and isinstance(node.func, pyast.Attribute)
+                and node.func.attr in ("check", "accept", "expect")):
+            assert len(node.args) == 1
+            assert isinstance(node.args[0], pyast.Constant), pyast.dump(node)
+            matched.add(node.args[0].value)
+        elif isinstance(node, pyast.Compare) and any(
+                isinstance(side, pyast.Attribute) and side.attr == "value"
+                or isinstance(side, pyast.Name) and side.id == "value"
+                for side in [node.left, *node.comparators]):
+            for side in [node.left, *node.comparators]:
+                if isinstance(side, pyast.Constant):
+                    matched.add(side.value)
+                elif isinstance(side, pyast.Tuple):
+                    matched.update(elt.value for elt in side.elts)
+    assert {"var", "static", "<<=", "[", "!"} <= matched
+    assert matched <= fixed, matched - fixed
 
 
 # -- parser -----------------------------------------------------------------

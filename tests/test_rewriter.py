@@ -6,6 +6,8 @@ import pytest
 from repro.belf import read_binary, write_binary
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BoltOptions, optimize_binary
+from repro.core.diagnostics import Severity
+from repro.core.rewriter import InputConflict
 from repro.core.reports import dump_function, report_bad_layout
 from repro.ir import InlinePolicy
 from repro.profiling import SamplingConfig, profile_binary
@@ -193,8 +195,58 @@ def test_rebolt_output_runs(baseline):
     exe, cpu, profile = baseline
     once = optimize_binary(exe, profile, BoltOptions()).binary
     profile2, _ = profile_binary(once, sampling=SamplingConfig(period=43))
-    twice = optimize_binary(once, profile2, BoltOptions()).binary
-    assert run_binary(twice).output == cpu.output
+    twice = optimize_binary(once, profile2, BoltOptions())
+    # The second profile splits no new cold code, so the job succeeds.
+    assert twice.degraded is None
+    assert run_binary(twice.binary).output == cpu.output
+
+
+MODE_SRC = ("app", """
+array mode[1];
+func pick(x) {
+  if (x % mode[0] == 0) { return x * 3 + 1; }
+  return x * 5 + 2;
+}
+func guard(x) {
+  if (x == 100000) { out x * 7; out x / 3; return x % 11; }
+  return x + 1;
+}
+func main() {
+  var s = 0;
+  for (var i = 0; i < 400; i += 1) { s += pick(i) + guard(i); }
+  out s;
+  return 0;
+}
+""")
+
+
+def test_rebolt_with_new_cold_code_is_one_error():
+    """Re-BOLTing a BOLTed binary whose new profile makes once-hot blocks
+    cold needs a second cold section: one BOLT-ERROR names the input's
+    ``.text.cold`` and the ladder returns the input unchanged."""
+    exe = build_executable(
+        [MODE_SRC], BuildOptions(inline=InlinePolicy(max_size=0)))[0]
+    sampling = SamplingConfig(period=43)
+    # mode 2 runs both arms of pick; mode 1 only the first.
+    profile, _ = profile_binary(exe, inputs={"app::mode": [2]},
+                                sampling=sampling)
+    once = optimize_binary(exe, profile, BoltOptions())
+    assert once.degraded is None
+    assert ".text.cold" in once.binary.sections
+    inputs = {"app::mode": [1]}
+    profile2, cpu = profile_binary(once.binary, inputs=inputs,
+                                   sampling=sampling)
+    twice = optimize_binary(once.binary, profile2, BoltOptions())
+    assert twice.degraded == "passthrough"
+    assert twice.binary is once.binary
+    errors = twice.diagnostics.render(min_severity=Severity.ERROR)
+    assert errors == [
+        "BOLT-ERROR: rewrite: input already has a .text.cold section (an "
+        "earlier BOLT run's cold code); cannot emit new cold fragments for "
+        "2 function(s): guard, pick"]
+    assert run_binary(twice.binary, inputs=inputs).output == cpu.output
+    with pytest.raises(InputConflict, match=r"already has a \.text\.cold"):
+        optimize_binary(once.binary, profile2, BoltOptions(strict=True))
 
 
 def test_dyno_stats_improve(baseline):

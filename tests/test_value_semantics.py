@@ -218,14 +218,20 @@ def test_passes_never_mutate_instructions_in_place(mini, monkeypatch):
 
 
 def test_emission_never_mutates_cfg_instructions(mini, monkeypatch):
-    """A call whose landing pad sits in the other fragment is emitted as
-    a new instruction; the CFG's own call keeps its ``lp``."""
+    """Emission works on new instructions: a call whose landing pad sits
+    in the other fragment is emitted without it, and a relaxed label
+    branch is emitted with its final op, size and target, while the
+    CFG's own instructions keep theirs."""
     exe, profile = mini
-    calls = []
+    calls, branches = [], []
 
     def emit(func, options):
-        calls.extend((insn, insn.lp) for block in func.blocks.values()
-                     for insn in block.insns if insn.is_call)
+        for block in func.blocks.values():
+            for insn in block.insns:
+                if insn.is_call:
+                    calls.append((insn, insn.lp))
+                if insn.label is not None and insn.op in _LABEL_BRANCHES:
+                    branches.append((insn, _branch_fields(insn)))
         return emit_function(func, options)
 
     monkeypatch.setattr(rewriter, "emit_function", emit)
@@ -235,6 +241,29 @@ def test_emission_never_mutates_cfg_instructions(mini, monkeypatch):
                for fragment in result.fragments.values()
                if not fragment.raw)
     assert [(insn, lp) for insn, lp in calls if insn.lp != lp] == []
+    assert branches
+    assert [insn for insn, fields in branches
+            if _branch_fields(insn) != fields] == []
+    # The emitted copies are relaxed: each resolves its label.
+    emitted = list(_emitted_label_branches(result))
+    assert emitted and all(insn.target == target for insn, target in emitted)
+
+
+_LABEL_BRANCHES = (Op.JMP_SHORT, Op.JMP_NEAR, Op.JCC_SHORT, Op.JCC_LONG)
+
+
+def _branch_fields(insn):
+    return (insn.op, insn.size, insn.target, insn.label, insn.cc)
+
+
+def _emitted_label_branches(result):
+    for fragment in result.fragments.values():
+        if fragment.raw:
+            continue
+        labels = fragment.image.labels
+        for _, insn in fragment.image.insn_offsets:
+            if insn.label is not None and insn.op in _LABEL_BRANCHES:
+                yield insn, labels[insn.label]
 
 
 # -- containment --------------------------------------------------------------
