@@ -11,36 +11,19 @@ import pytest
 
 from conftest import once, print_table
 from repro.core import BoltOptions
-from repro.harness import (
-    build_workload,
-    measure,
-    run_bolt,
-    sample_profile,
-    speedup,
-)
-from repro.workloads import make_workload
+from repro.harness import build_workload
+from repro.harness.experiments import Leg, sized
 
 
 @pytest.fixture(scope="module")
-def setup():
-    workload = make_workload("multifeed1")
-    built = build_workload(workload, hfsort_link="hfsort")
-    base = measure(built)
-    profile, _ = sample_profile(built)
-    return workload, built, base, profile
+def leg():
+    """multifeed1 on link-time HFSort, at full size at any scale."""
+    return Leg(build_workload(sized("multifeed1"), hfsort_link="hfsort"))
 
 
-def _gain(setup, options):
-    workload, built, base, profile = setup
-    optimized = measure(run_bolt(built, profile, options).binary,
-                        inputs=workload.inputs)
-    assert optimized.output == base.output
-    return speedup(base.counters.cycles, optimized.counters.cycles)
-
-
-def test_ablation_flow_repair(benchmark, setup):
-    on = _gain(setup, BoltOptions(trust_fall_through=True))
-    off = _gain(setup, BoltOptions(trust_fall_through=False))
+def test_ablation_flow_repair(benchmark, leg):
+    on = leg.gain(BoltOptions(trust_fall_through=True))
+    off = leg.gain(BoltOptions(trust_fall_through=False))
     print_table("Ablation: section 5.2 fall-through flow repair",
                 ("config", "speedup"),
                 [("trust fall-through (paper)", f"{on:+.2%}"),
@@ -51,10 +34,9 @@ def test_ablation_flow_repair(benchmark, setup):
     once(benchmark, lambda: (on, off))
 
 
-def test_ablation_block_layout(benchmark, setup):
-    gains = {}
-    for algo in ("none", "reverse", "cache", "cache+"):
-        gains[algo] = _gain(setup, BoltOptions(reorder_blocks=algo))
+def test_ablation_block_layout(benchmark, leg):
+    gains = {algo: leg.gain(BoltOptions(reorder_blocks=algo))
+             for algo in ("none", "reverse", "cache", "cache+")}
     print_table("Ablation: block layout algorithm",
                 ("algorithm", "speedup"),
                 [(a, f"{g:+.2%}") for a, g in gains.items()])
@@ -67,12 +49,12 @@ def test_ablation_block_layout(benchmark, setup):
     once(benchmark, lambda: gains)
 
 
-def test_ablation_splitting(benchmark, setup):
+def test_ablation_splitting(benchmark, leg):
     gains = {
-        "no splitting": _gain(setup, BoltOptions(split_functions=0)),
-        "hot-only (conservative)": _gain(setup, BoltOptions(
+        "no splitting": leg.gain(BoltOptions(split_functions=0)),
+        "hot-only (conservative)": leg.gain(BoltOptions(
             split_functions=2, split_all_cold=False)),
-        "split-all-cold (paper)": _gain(setup, BoltOptions()),
+        "split-all-cold (paper)": leg.speedup,
     }
     print_table("Ablation: function splitting",
                 ("config", "speedup"),
@@ -87,9 +69,9 @@ def test_ablation_splitting(benchmark, setup):
     once(benchmark, lambda: gains)
 
 
-def test_ablation_nop_stripping(benchmark, setup):
-    on = _gain(setup, BoltOptions(strip_nops=True))
-    off = _gain(setup, BoltOptions(strip_nops=False))
+def test_ablation_nop_stripping(benchmark, leg):
+    on = leg.gain(BoltOptions(strip_nops=True))
+    off = leg.gain(BoltOptions(strip_nops=False))
     print_table("Ablation: section 4 NOP-discarding policy",
                 ("config", "speedup"),
                 [("strip NOPs (paper)", f"{on:+.2%}"),
@@ -108,24 +90,9 @@ def test_ablation_rewrite_modes(benchmark):
     ordering: when the linker has already applied HFSort, in-place mode
     inherits that good order and the two modes converge; on a plain
     build only relocations mode can fix the function layout."""
-    workload = make_workload("multifeed2")
-    built_relocs = build_workload(workload, emit_relocs=True)
-    built_plain = build_workload(workload, emit_relocs=False)
-    base = measure(built_relocs)
-    base_plain = measure(built_plain)
-
-    profile_r, _ = sample_profile(built_relocs)
-    profile_p, _ = sample_profile(built_plain)
-    relocs = measure(run_bolt(built_relocs, profile_r).binary,
-                     inputs=workload.inputs)
-    inplace = measure(run_bolt(built_plain, profile_p).binary,
-                      inputs=workload.inputs)
-    assert relocs.output == base.output
-    assert inplace.output == base_plain.output
-
-    g_relocs = speedup(base.counters.cycles, relocs.counters.cycles)
-    g_inplace = speedup(base_plain.counters.cycles,
-                        inplace.counters.cycles)
+    workload = sized("multifeed2")
+    g_relocs = Leg(build_workload(workload, emit_relocs=True)).speedup
+    g_inplace = Leg(build_workload(workload, emit_relocs=False)).speedup
     print_table("Ablation: rewriting mode (sections 3.1 vs 3.2)",
                 ("mode", "speedup"),
                 [("in-place (initial design)", f"{g_inplace:+.2%}"),

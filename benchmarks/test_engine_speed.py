@@ -19,13 +19,11 @@ Run with::
     REPRO_BENCH_SCALE=0.25 pytest benchmarks/test_engine_speed.py -m perf
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
-from conftest import SCALE, print_table, scaled
+from conftest import SCALE, print_table, record_bench, scaled
 from repro.core import BoltOptions
 from repro.harness import build_workload, run_bolt
 from repro.harness.metrics import simulated_mips
@@ -40,9 +38,6 @@ from repro.uarch import run_binary
 
 pytestmark = pytest.mark.perf
 
-_BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
-_RESULTS = {}
-
 #: Fresh-process measurement would be ideal; within one process the
 #: shared per-binary trace cache makes later block runs *faster*, so
 #: measuring the first (cold) run is the conservative choice.
@@ -50,9 +45,7 @@ _SAMPLING = SamplingConfig("cycles", period=997, skid=0, use_lbr=True)
 
 
 def _record(section, payload):
-    _RESULTS[section] = payload
-    doc = {"scale": SCALE, **_RESULTS}
-    _BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    record_bench("BENCH_pr5.json", section, payload)
 
 
 def _run(exe, inputs, engine, sampler=None, fetch_heat=False):

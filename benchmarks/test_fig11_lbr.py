@@ -12,44 +12,13 @@ block-level edge profile does not).
 """
 
 from conftest import once, print_table
-from repro.core import BoltOptions
-from repro.harness import measure, run_bolt, sample_profile, speedup
-from repro.profiling import SamplingConfig
-
-SCOPES = {
-    "Functions": BoltOptions(reorder_blocks="none", split_functions=0,
-                             icp=False, inline_small=False, sctc=False,
-                             frame_opts=False, shrink_wrapping=False),
-    "BBs": BoltOptions(reorder_functions="none"),
-    "Both": BoltOptions(),
-}
+from repro.harness.experiments import figure11
 
 
 def test_fig11_lbr_value(benchmark, facebook_experiments):
-    exp = facebook_experiments["hhvm"]
-    built = exp.built
-    workload = exp.workload
-    base = exp.baseline
-
-    nolbr_profile, _ = sample_profile(
-        built, sampling=SamplingConfig(period=251, use_lbr=False))
-    lbr_profile = exp.profile
-
-    rows = []
-    gains = {}
-    for scope, options in SCOPES.items():
-        with_lbr = measure(
-            run_bolt(built, lbr_profile, options).binary,
-            inputs=workload.inputs)
-        without = measure(
-            run_bolt(built, nolbr_profile, options).binary,
-            inputs=workload.inputs)
-        assert with_lbr.output == base.output == without.output
-        s_lbr = speedup(base.counters.cycles, with_lbr.counters.cycles)
-        s_no = speedup(base.counters.cycles, without.counters.cycles)
-        gains[scope] = (s_lbr, s_no)
-        rows.append((scope, f"{s_lbr:+.1%}", f"{s_no:+.1%}",
-                     f"{s_lbr - s_no:+.1%}"))
+    gains = figure11(facebook_experiments["hhvm"])
+    rows = [(scope, f"{s_lbr:+.1%}", f"{s_no:+.1%}", f"{s_lbr - s_no:+.1%}")
+            for scope, (s_lbr, s_no) in gains.items()]
     print_table("Figure 11: BOLT speedup with vs without LBRs (HHVM)",
                 ("scope", "with LBR", "without LBR", "LBR value"),
                 rows)

@@ -8,25 +8,17 @@ HHVM (the largest, most front-end-bound) gains the most, and the
 geomean lands in the single-digit-to-low-teens percent range.
 """
 
-import math
-
 from conftest import once, print_table
+from repro.harness.experiments import figure5
 from repro.uarch import run_binary
 
 
 def test_fig5_facebook_speedups(benchmark, facebook_experiments):
-    experiments = facebook_experiments
-    rows = []
-    speedups = {}
-    for name, exp in experiments.items():
-        speedups[name] = exp.speedup
-        rows.append((
-            name,
-            f"{exp.baseline.counters.cycles:,}",
-            f"{exp.optimized.counters.cycles:,}",
-            f"{exp.speedup:+.1%}",
-        ))
-    geomean = math.prod(1 + s for s in speedups.values()) ** (1 / len(speedups)) - 1
+    data = figure5(facebook_experiments)
+    speedups = {name: gain for name, _, _, gain in data["rows"]}
+    geomean = data["geomean"]
+    rows = [(name, f"{before:,}", f"{after:,}", f"{gain:+.1%}")
+            for name, before, after, gain in data["rows"]]
     rows.append(("GeoMean", "", "", f"{geomean:+.1%}"))
     print_table("Figure 5: %speedup from BOLT over HFSort baseline",
                 ("workload", "cycles before", "cycles after", "speedup"),
@@ -37,7 +29,7 @@ def test_fig5_facebook_speedups(benchmark, facebook_experiments):
     assert geomean > 0.02
     assert speedups["hhvm"] >= max(speedups.values()) * 0.6  # among the top
 
-    hhvm = experiments["hhvm"]
+    hhvm = facebook_experiments["hhvm"]
     benchmark.extra_info["speedups"] = {k: round(v, 4)
                                         for k, v in speedups.items()}
     benchmark.extra_info["geomean"] = round(geomean, 4)

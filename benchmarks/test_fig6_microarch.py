@@ -7,16 +7,13 @@ metrics move little (BOLT is a code-layout optimizer).
 """
 
 from conftest import once, print_table
-from repro.harness import counter_reductions
-from repro.harness.metrics import FIGURE6_METRICS
+from repro.harness.experiments import figure6
 from repro.uarch import run_binary
 
 
 def test_fig6_hhvm_microarch(benchmark, facebook_experiments):
     exp = facebook_experiments["hhvm"]
-    reductions = counter_reductions(exp.baseline.counters,
-                                    exp.optimized.counters,
-                                    FIGURE6_METRICS)
+    reductions = figure6(exp)
     rows = [(label, f"{value:+.1%}") for label, value in reductions.items()]
     print_table("Figure 6: HHVM miss reductions from BOLT",
                 ("metric", "reduction"), rows)

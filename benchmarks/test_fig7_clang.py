@@ -8,38 +8,18 @@ complementarity result); BOLT alone is competitive with PGO+LTO.
 """
 
 from conftest import once, print_table
-from repro.harness import measure, speedup
 from repro.uarch import run_binary
 
-
-def _speedups(matrix, inputs):
-    base_cycles = measure(matrix["baseline"].exe, inputs=inputs
-                          ).counters.cycles
-    return {
-        "BOLT": speedup(base_cycles, measure(
-            matrix["bolt"].binary, inputs=inputs).counters.cycles),
-        "PGO+LTO": speedup(base_cycles, measure(
-            matrix["pgo_lto"].exe, inputs=inputs).counters.cycles),
-        "PGO+LTO+BOLT": speedup(base_cycles, measure(
-            matrix["pgo_lto_bolt"].binary, inputs=inputs).counters.cycles),
-    }
+COLUMNS = ("BOLT", "PGO+LTO", "PGO+LTO+BOLT")
 
 
-def test_fig7_clang_analog(benchmark, compiler_matrix):
-    workload = compiler_matrix["workload"]
-    input_mixes = {"input1 (default)": workload.inputs}
-    for label, inputs in workload.alt_inputs.items():
-        input_mixes[label] = inputs
-
-    rows = []
-    all_results = {}
-    for label, inputs in input_mixes.items():
-        results = _speedups(compiler_matrix, inputs)
-        all_results[label] = results
-        rows.append((label,) + tuple(f"{results[k]:+.1%}" for k in
-                                     ("BOLT", "PGO+LTO", "PGO+LTO+BOLT")))
+def test_fig7_clang_analog(benchmark, compiler_matrix, fdo_table):
+    all_results = {label: {k: row[k] for k in COLUMNS}
+                   for label, row in fdo_table.items()}
     print_table("Figure 7: Clang-analog speedups over -O2 baseline",
-                ("input", "BOLT", "PGO+LTO", "PGO+LTO+BOLT"), rows)
+                ("input",) + COLUMNS,
+                [(label,) + tuple(f"{results[k]:+.1%}" for k in COLUMNS)
+                 for label, results in all_results.items()])
 
     for label, results in all_results.items():
         assert results["BOLT"] > 0.05, label
@@ -52,4 +32,5 @@ def test_fig7_clang_analog(benchmark, compiler_matrix):
         label: {k: round(v, 4) for k, v in results.items()}
         for label, results in all_results.items()}
     exe = compiler_matrix["pgo_lto_bolt"].binary
-    once(benchmark, lambda: run_binary(exe, inputs=workload.inputs))
+    inputs = compiler_matrix["workload"].inputs
+    once(benchmark, lambda: run_binary(exe, inputs=inputs))

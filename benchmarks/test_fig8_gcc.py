@@ -7,36 +7,18 @@ build).  Shape claims mirror that.
 """
 
 from conftest import once, print_table
-from repro.harness import measure, speedup
 from repro.uarch import run_binary
 
+COLUMNS = ("BOLT", "PGO", "PGO+BOLT")
 
-def test_fig8_gcc_analog(benchmark, compiler_matrix):
-    workload = compiler_matrix["workload"]
-    input_mixes = {"input1 (default)": workload.inputs}
-    for label, inputs in workload.alt_inputs.items():
-        input_mixes[label] = inputs
 
-    rows = []
-    all_results = {}
-    for label, inputs in input_mixes.items():
-        base_cycles = measure(compiler_matrix["baseline"].exe,
-                              inputs=inputs).counters.cycles
-        results = {
-            "BOLT": speedup(base_cycles, measure(
-                compiler_matrix["bolt"].binary,
-                inputs=inputs).counters.cycles),
-            "PGO": speedup(base_cycles, measure(
-                compiler_matrix["pgo"].exe, inputs=inputs).counters.cycles),
-            "PGO+BOLT": speedup(base_cycles, measure(
-                compiler_matrix["pgo_bolt"].binary,
-                inputs=inputs).counters.cycles),
-        }
-        all_results[label] = results
-        rows.append((label,) + tuple(f"{results[k]:+.1%}"
-                                     for k in ("BOLT", "PGO", "PGO+BOLT")))
+def test_fig8_gcc_analog(benchmark, compiler_matrix, fdo_table):
+    all_results = {label: {k: row[k] for k in COLUMNS}
+                   for label, row in fdo_table.items()}
     print_table("Figure 8: GCC-analog speedups over -O2 baseline",
-                ("input", "BOLT", "PGO", "PGO+BOLT"), rows)
+                ("input",) + COLUMNS,
+                [(label,) + tuple(f"{results[k]:+.1%}" for k in COLUMNS)
+                 for label, results in all_results.items()])
 
     for label, results in all_results.items():
         assert results["BOLT"] > 0.05, label
@@ -47,4 +29,5 @@ def test_fig8_gcc_analog(benchmark, compiler_matrix):
         label: {k: round(v, 4) for k, v in results.items()}
         for label, results in all_results.items()}
     exe = compiler_matrix["pgo_bolt"].binary
-    once(benchmark, lambda: run_binary(exe, inputs=workload.inputs))
+    inputs = compiler_matrix["workload"].inputs
+    once(benchmark, lambda: run_binary(exe, inputs=inputs))

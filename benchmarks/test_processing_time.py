@@ -9,7 +9,7 @@ Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
   one-walk ICF keys, the summary-walk BL001/BL002/BL003 lint checkers,
   and the cached line-table lookup, each against
   its pre-PR reference implementation from
-  ``repro.core._reference_kernels`` — on inputs where both produce
+  ``tests.oracles.reference_kernels`` — on inputs where both produce
   identical outputs (the correctness side is pinned by
   ``tests/test_hfsort.py``).
 * **End-to-end** — the full ``optimize_binary`` pipeline on the
@@ -26,18 +26,16 @@ Run with::
     REPRO_BENCH_SCALE=0.25 pytest benchmarks/test_processing_time.py -m perf
 """
 
-import json
-import pathlib
 import random
 import time
 
 import pytest
 
-from conftest import SCALE, print_table, scaled
+from conftest import SCALE, print_table, record_bench, scaled
 from repro.belf import write_binary
 from repro.belf.linetable import LineTable
 from repro.core import BoltOptions
-from repro.core._reference_kernels import (
+from tests.oracles.reference_kernels import (
     check_callee_saved_reference,
     check_flags_reference,
     check_stack_height_reference,
@@ -58,17 +56,9 @@ from repro.workloads import make_workload
 
 pytestmark = pytest.mark.perf
 
-_BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
-_RESULTS = {}
-
 
 def _record(section, payload):
-    _RESULTS[section] = payload
-    doc = {"scale": SCALE, **_RESULTS}
-    if section == "front_end" and _BENCH_PATH.exists():
-        # Its inputs do not scale: keep the other sections and their scale.
-        doc = {**json.loads(_BENCH_PATH.read_text()), section: payload}
-    _BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    record_bench("BENCH_pr3.json", section, payload)
 
 
 def _timed(fn, *args, repeat=3):
@@ -308,18 +298,13 @@ def test_aggregation_throughput():
         f"({n_shards} shards x {records} records)",
         ("configuration", "wall", "shards/s"),
         [("serial", f"{t_serial:.3f}s", f"{serial_rate:.1f}")])
-    doc = {
-        "scale": SCALE,
-        "aggregation": {
-            "shards": n_shards,
-            "records_per_shard": records,
-            "serial_s": round(t_serial, 4),
-            "serial_shards_per_s": round(serial_rate, 2),
-            "merged_branch_records": len(first.profile.branches),
-        },
-    }
-    bench_path = _BENCH_PATH.with_name("BENCH_pr4.json")
-    bench_path.write_text(json.dumps(doc, indent=2) + "\n")
+    record_bench("BENCH_pr4.json", "aggregation", {
+        "shards": n_shards,
+        "records_per_shard": records,
+        "serial_s": round(t_serial, 4),
+        "serial_shards_per_s": round(serial_rate, 2),
+        "merged_branch_records": len(first.profile.branches),
+    })
     assert serial_rate > 0
 
 
@@ -340,7 +325,7 @@ def test_end_to_end_processing_time(monkeypatch):
     import repro.core.passes.base as base
     import repro.core.passes.reorder_bbs as reorder_bbs
     import repro.core.passes.reorder_functions as reorder_functions
-    from repro.core._reference_kernels import order_blocks_reference
+    from tests.oracles.reference_kernels import order_blocks_reference
 
     monkeypatch.setattr(base, "snapshot_function", snapshot_function_deepcopy)
     monkeypatch.setattr(base, "restore_function", restore_function_deepcopy)

@@ -7,7 +7,8 @@ pipeline is not just present but *active* on realistic input.
 
 from conftest import once, print_table
 from repro.core import BoltOptions
-from repro.harness import measure, run_bolt, sample_profile, speedup
+from repro.harness import measure, speedup
+from repro.harness.experiments import Leg
 
 
 def test_tab1_pipeline_activity(benchmark, compiler_matrix):
@@ -45,20 +46,14 @@ def test_tab1_pipeline_activity(benchmark, compiler_matrix):
 def test_tab1_cumulative_pass_value(benchmark, compiler_matrix):
     """Ablation: disabling groups of passes must not *help* — the full
     pipeline is at least as fast as layout-only."""
-    workload = compiler_matrix["workload"]
-    built = compiler_matrix["baseline"]
-    profile, _ = sample_profile(built)
-    base_cycles = measure(built).counters.cycles
-
-    full = run_bolt(built, profile, BoltOptions())
-    layout_only = run_bolt(built, profile, BoltOptions(
+    leg = Leg(compiler_matrix["baseline"])
+    _, layout_only = leg.bolt(BoltOptions(
         icf=False, icp=False, peepholes=False, inline_small=False,
         simplify_ro_loads=False, plt=False, sctc=False, frame_opts=False,
         shrink_wrapping=False, strip_rep_ret=False))
-
-    full_cycles = measure(full.binary, inputs=workload.inputs).counters.cycles
-    layout_cycles = measure(layout_only.binary,
-                            inputs=workload.inputs).counters.cycles
+    base_cycles = leg.baseline.counters.cycles
+    full_cycles = leg.optimized.counters.cycles
+    layout_cycles = layout_only.counters.cycles
 
     print_table(
         "Table 1 (cumulative): layout-only vs full pipeline",
@@ -76,4 +71,5 @@ def test_tab1_cumulative_pass_value(benchmark, compiler_matrix):
 
     benchmark.extra_info["full"] = full_cycles
     benchmark.extra_info["layout_only"] = layout_cycles
-    once(benchmark, lambda: measure(full.binary, inputs=workload.inputs))
+    once(benchmark,
+         lambda: measure(leg.result.binary, inputs=leg.workload.inputs))

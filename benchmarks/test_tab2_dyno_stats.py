@@ -11,6 +11,7 @@ than the over-PGO+LTO column.
 """
 
 from conftest import once, print_table
+from repro.harness.experiments import table2
 
 ROWS = (
     ("executed forward branches", "executed_forward_branches"),
@@ -27,11 +28,9 @@ ROWS = (
 
 
 def test_tab2_dyno_stats(benchmark, compiler_matrix):
-    over_base = compiler_matrix["bolt"]
-    over_pgo_lto = compiler_matrix["pgo_lto_bolt"]
-
-    delta_base = over_base.dyno_after.delta_vs(over_base.dyno_before)
-    delta_pgo = over_pgo_lto.dyno_after.delta_vs(over_pgo_lto.dyno_before)
+    deltas = table2(compiler_matrix)
+    delta_base = deltas["over_baseline"]
+    delta_pgo = deltas["over_pgo_lto"]
 
     def fmt(delta, field):
         value = delta.get(field)
@@ -55,4 +54,4 @@ def test_tab2_dyno_stats(benchmark, compiler_matrix):
         f: round(v, 4) for f, v in delta_base.items() if v is not None}
     benchmark.extra_info["over_pgo_lto"] = {
         f: round(v, 4) for f, v in delta_pgo.items() if v is not None}
-    once(benchmark, lambda: over_base.dyno_after.as_dict())
+    once(benchmark, lambda: compiler_matrix["bolt"].dyno_after.as_dict())

@@ -1,60 +1,29 @@
 #!/usr/bin/env python
 """The Clang/GCC experiment in miniature (paper Figures 7 and 8):
 
-Build the compiler-shaped workload in four configurations and show that
-compile-time FDO and post-link BOLT are *complementary*:
+Build the compiler-shaped workload in several configurations and show
+that compile-time FDO and post-link BOLT are *complementary*:
 
     baseline            (O2)
     BOLT                (O2 + BOLT)
-    PGO+LTO             (instrumented FDO + LTO)
-    PGO+LTO+BOLT        (everything)
+    PGO, PGO+BOLT       (instrumented FDO, without and with BOLT)
+    PGO+LTO, PGO+LTO+BOLT
 
 The training input for PGO and for BOLT's profile is the same; the
-measurement runs use the workload's input mixes.
+measurement runs use the workload's input mixes, and every binary must
+print what the -O2 build prints.
 """
 
-from repro.harness import (
-    build_workload,
-    measure,
-    run_bolt,
-    sample_profile,
-    speedup,
-)
-from repro.workloads import make_workload
-
-
-def bolted(built, workload):
-    profile, _ = sample_profile(built)
-    return run_bolt(built, profile).binary
+from repro.harness import experiments as X
 
 
 def main():
-    workload = make_workload("compiler", iterations=160)
-    print("building 4 configurations of the compiler-like workload ...")
-    base = build_workload(workload)
-    pgo_lto = build_workload(workload, pgo=True, lto=True)
-
-    binaries = {
-        "baseline": base.exe,
-        "BOLT": bolted(base, workload),
-        "PGO+LTO": pgo_lto.exe,
-        "PGO+LTO+BOLT": bolted(pgo_lto, workload),
-    }
-
-    print(f"{'input':10s}" + "".join(f"{k:>16s}" for k in binaries
-                                     if k != "baseline"))
-    inputs_by_label = {"default": workload.inputs, **workload.alt_inputs}
-    for label, inputs in inputs_by_label.items():
-        base_cycles = measure(binaries["baseline"], inputs=inputs
-                              ).counters.cycles
-        row = f"{label:10s}"
-        reference = None
-        for key, binary in binaries.items():
-            if key == "baseline":
-                continue
-            cycles = measure(binary, inputs=inputs).counters.cycles
-            row += f"{speedup(base_cycles, cycles):>15.1%} "
-        print(row)
+    print("building the compiler-like workload's FDO matrix ...")
+    table = X.figures7and8(X.compiler_matrix())
+    print(f"{'input':18s}" + "".join(f"{k:>14s}" for k in X.FDO_CONFIGS))
+    for mix, row in table.items():
+        print(f"{mix:18s}" + "".join(f"{row[k]:>+14.1%}"
+                                     for k in X.FDO_CONFIGS))
     print("\n(speedups over the plain -O2 baseline; the paper's claim is "
           "that the BOLT and PGO+LTO columns do not subsume each other)")
 

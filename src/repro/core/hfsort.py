@@ -18,7 +18,7 @@ Complexity: ``CallGraph`` maintains a reverse-adjacency index so
 instead of rescanning every arc per cluster pair per merge iteration.
 Both orderings are asserted to be permutations of the input functions
 (``tests/test_hfsort.py`` checks them against the pre-PR reference
-implementations in :mod:`repro.core._reference_kernels`).
+implementations in :mod:`tests.oracles.reference_kernels`).
 """
 
 

@@ -16,7 +16,7 @@ The ext-TSP merge loop keeps per-chain edge lists and an incrementally
 maintained inter-chain weight map, so candidate scoring touches only
 the two chains' own edges instead of rescanning the whole function's
 edge set per chain pair (the pre-PR kernels did the latter; they are
-preserved in :mod:`repro.core._reference_kernels` and the fast path is
+preserved in :mod:`tests.oracles.reference_kernels` and the fast path is
 tested to produce identical layouts).  Per-chain edge lists are kept in
 global edge-insertion order and merged like sorted runs, so the
 floating-point score accumulates in exactly the reference's order.

@@ -15,7 +15,7 @@ place.  A snapshot therefore shares the instruction objects and saves
 only what a pass may change in place: the block dict, each block's
 instruction list, edge dicts and scalars, the jump tables' state, the
 frame record and the analysis facts.  The pre-value-semantics ``copy.deepcopy`` snapshot is kept in
-:mod:`repro.core._reference_kernels` for the processing-time
+:mod:`tests.oracles.reference_kernels` for the processing-time
 benchmarks.
 
 A pass that corrupts a CFG *without* raising is caught after the

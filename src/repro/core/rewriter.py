@@ -184,8 +184,8 @@ def optimize_binary(binary, profile=None, options=None):
         attempts.append(("in-place", options.copy(use_relocations=False)))
 
     carried = []
-    why = ("all rewrite attempts failed validation; returning the original "
-           "binary unchanged")
+    why = ("all rewrite attempts failed; returning the original binary "
+           "unchanged")
     for degraded, opts in attempts:
         suffix = "" if degraded is None else f":{degraded}"
         try:
@@ -218,6 +218,8 @@ def optimize_binary(binary, profile=None, options=None):
                                + "; ".join(problems[:5]))
         carried.extend((f"validate{suffix}", problem)
                        for problem in problems[:10])
+        why = ("all rewrite attempts failed validation; returning the "
+               "original binary unchanged")
 
     # Last rung: ship the original binary unmodified.
     return _passthrough_result(binary, profile, options, carried, why)

@@ -3,8 +3,9 @@
 This is the pre-PR 5 interpreter (fetch -> decode-cache -> if/elif
 dispatch -> per-instruction accounting), kept as the equivalence oracle
 for the block-cached engine in :mod:`repro.uarch.cpu` — the same
-pattern as :mod:`repro.core._reference_kernels` from PR 3.  Select it
-with ``CPU(..., engine="ref")`` or ``run_binary(..., engine="ref")``.
+pattern as the ordering kernels in
+:mod:`tests.oracles.reference_kernels`.  Select it with
+``CPU(..., engine="ref")`` or ``run_binary(..., engine="ref")``.
 
 Executes decoded BX86 instructions out of the loaded memory image,
 charging cycles via :class:`UarchConfig` penalties.  Supports:

@@ -7,6 +7,9 @@ tests and benchmarks can check its replacement gives the same results:
   front end before the regex scanner and the value-keyed parser;
 - :mod:`tests.oracles.reference_interp`: the BC tree-walking
   interpreter before closure compilation.
+- :mod:`tests.oracles.reference_kernels`: the ordering kernels,
+  pass snapshot, line-table lookup, use/def and ICF-key walks and
+  BL001-BL003 checkers before the processing-time rewrites.
 
 No module under ``src/repro`` imports this package.
 """

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import checkers
 from repro.core import BinaryContext, BoltOptions
-from repro.core._reference_kernels import (
+from tests.oracles.reference_kernels import (
     check_callee_saved_reference,
     check_flags_reference,
     check_stack_height_reference,

@@ -2,14 +2,14 @@
 
 The fast kernels (reverse-adjacency HFSort, incremental HFSort+ and
 ext-TSP) must produce *identical* orders to the pre-PR reference
-implementations kept in ``repro.core._reference_kernels`` — the
+implementations kept in ``tests.oracles.reference_kernels`` — the
 equivalence properties at the bottom pin that down on random graphs.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core._reference_kernels import (
+from tests.oracles.reference_kernels import (
     hfsort_plus_reference,
     hfsort_reference,
     order_blocks_reference,

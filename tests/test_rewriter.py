@@ -249,6 +249,43 @@ def test_rebolt_with_new_cold_code_is_one_error():
         optimize_binary(once.binary, profile2, BoltOptions(strict=True))
 
 
+def test_ladder_warning_says_whether_validation_ran(baseline,
+                                                   monkeypatch):
+    """When every attempt raised, no output reached the gate: the final
+    warning must not blame validation.  When an output failed the gate,
+    it does."""
+    import repro.analysis.binlint as binlint
+    from repro.core import rewriter
+
+    exe, _, profile = baseline
+
+    def explode(context, result):
+        raise RuntimeError("emission exploded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rewriter, "_rewrite", explode)
+        result = optimize_binary(exe, profile, BoltOptions())
+    assert result.degraded == "passthrough"
+    assert result.diagnostics.render(min_severity=Severity.WARNING) == [
+        "BOLT-ERROR: rewrite: rewrite failed (RuntimeError: emission "
+        "exploded)",
+        "BOLT-ERROR: rewrite:in-place: rewrite failed (RuntimeError: "
+        "emission exploded)",
+        "BOLT-WARNING: validate: all rewrite attempts failed; returning "
+        "the original binary unchanged"]
+
+    gate = binlint.gate_problems
+    monkeypatch.setattr(
+        binlint, "gate_problems",
+        lambda binary, options, result=None:
+        ["planted"] if result is not None else gate(binary, options))
+    result = optimize_binary(exe, profile, BoltOptions())
+    assert result.degraded == "passthrough"
+    assert result.diagnostics.render(min_severity=Severity.WARNING)[-1] == (
+        "BOLT-WARNING: validate: all rewrite attempts failed validation; "
+        "returning the original binary unchanged")
+
+
 def test_dyno_stats_improve(baseline):
     exe, cpu, profile = baseline
     result = optimize_binary(exe, profile, BoltOptions())

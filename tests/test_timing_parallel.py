@@ -8,7 +8,7 @@ import pytest
 
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BinaryContext, BoltOptions, optimize_binary
-from repro.core._reference_kernels import (
+from tests.oracles.reference_kernels import (
     linetable_lookup_reference,
     snapshot_function_deepcopy,
 )

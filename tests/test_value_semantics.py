@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BinaryContext, BoltOptions, optimize_binary
 from repro.core import rewriter
-from repro.core._reference_kernels import (
+from tests.oracles.reference_kernels import (
     format_size_reference,
     insn_uses_defs_reference,
     normalize_self_reference,
