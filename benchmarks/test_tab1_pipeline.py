@@ -46,7 +46,9 @@ def test_tab1_pipeline_activity(benchmark, compiler_matrix):
 def test_tab1_cumulative_pass_value(benchmark, compiler_matrix):
     """Ablation: disabling groups of passes must not *help* — the full
     pipeline is at least as fast as layout-only."""
-    leg = Leg(compiler_matrix["baseline"])
+    leg = Leg(compiler_matrix["baseline"],
+              profile=compiler_matrix["baseline_profile"],
+              result=compiler_matrix["bolt"])
     _, layout_only = leg.bolt(BoltOptions(
         icf=False, icp=False, peepholes=False, inline_small=False,
         simplify_ro_loads=False, plt=False, sctc=False, frame_opts=False,

@@ -62,12 +62,17 @@ class BuildOptions:
 
 
 class CompileResult:
-    """Objects plus build metadata."""
+    """Objects plus build metadata.
 
-    def __init__(self, objects, counter_keys=None, ir_modules=None):
+    ``counter_keys`` names the instrumentation counters in ``__profc``
+    order (empty unless instrumented).  The IR is not kept: it is freed
+    when ``compile_program`` returns, and the objects once the caller
+    has linked them.
+    """
+
+    def __init__(self, objects, counter_keys=None):
         self.objects = objects
         self.counter_keys = counter_keys or []
-        self.ir_modules = ir_modules or []
 
 
 def build_ir(sources):
@@ -128,7 +133,7 @@ def compile_program(sources, options=None):
         objects.append(emit_object(module, machine_funcs, options.codegen))
     if options.instrument:
         objects.append(make_counter_object(len(counter_keys)))
-    return CompileResult(objects, counter_keys=counter_keys, ir_modules=modules)
+    return CompileResult(objects, counter_keys=counter_keys)
 
 
 def make_counter_object(num_counters):

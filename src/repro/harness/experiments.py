@@ -66,14 +66,20 @@ class Leg:
     :meth:`bolt` repeats the last two steps with other options or
     another profile against the same baseline run.  Every BOLTed binary
     must print what the baseline printed.
+
+    ``profile`` and ``result`` reuse a sampled profile of ``built`` and
+    its default-options BOLT result (as :func:`compiler_matrix` holds
+    them) instead of sampling and rewriting again.
     """
 
-    def __init__(self, built, fetch_heat=False):
+    def __init__(self, built, fetch_heat=False, profile=None, result=None):
         self.built = built
         self.workload = built.workload
         self.baseline = measure(built, fetch_heat=fetch_heat)
-        self.profile, _ = sample_profile(built)
-        self.result, self.optimized = self.bolt(fetch_heat=fetch_heat)
+        self.profile = sample_profile(built)[0] if profile is None else profile
+        self.result = (run_bolt(built, self.profile) if result is None
+                       else result)
+        self.optimized = self._measure(self.result, fetch_heat)
 
     def bolt(self, options=None, profile=None, fetch_heat=False):
         """``(RewriteResult, optimized run)``; the profile defaults to
@@ -81,12 +87,15 @@ class Leg:
         result = run_bolt(self.built,
                           self.profile if profile is None else profile,
                           options)
+        return result, self._measure(result, fetch_heat)
+
+    def _measure(self, result, fetch_heat):
         optimized = measure(result.binary, inputs=self.workload.inputs,
                             fetch_heat=fetch_heat)
         if optimized.output != self.baseline.output:
             raise AssertionError(
                 f"{self.workload.spec.name}: BOLT changed program behaviour")
-        return result, optimized
+        return optimized
 
     def gain(self, options=None, profile=None):
         """The speedup of :meth:`bolt` over this leg's baseline (this
@@ -118,7 +127,8 @@ def facebook_legs(scale=1.0):
 def compiler_matrix(scale=1.0):
     """Figures 7, 8 and 10, Tables 1 and 2: the compiler-shaped workload
     in the build configurations of section 6.2, three of them BOLTed
-    (``RewriteResult`` values under the ``*bolt`` keys)."""
+    (``RewriteResult`` values under the ``*bolt`` keys).
+    ``baseline_profile`` is the sampled profile behind ``bolt``."""
     workload = sized("compiler", scale)
 
     def bolt_of(built):
@@ -128,12 +138,14 @@ def compiler_matrix(scale=1.0):
     base = build_workload(workload)
     pgo = build_workload(workload, pgo=True)
     pgo_lto = build_workload(workload, pgo=True, lto=True)
+    base_profile, _ = sample_profile(base)
     return {
         "workload": workload,
         "baseline": base,
+        "baseline_profile": base_profile,
         "pgo": pgo,
         "pgo_lto": pgo_lto,
-        "bolt": bolt_of(base),
+        "bolt": run_bolt(base, base_profile),
         "pgo_bolt": bolt_of(pgo),
         "pgo_lto_bolt": bolt_of(pgo_lto),
     }

@@ -4,10 +4,10 @@ The CPU's ``fetch_heat`` option records bytes fetched per instruction
 address; these helpers fold that into the paper's 64x64 log-scale
 matrix and compute the hot-footprint statistic behind the Figure 9
 discussion (hot code packed from 148.2 MB of text into ~4 MB).
+
+numpy is imported inside ``fetch_heatmap``, the one helper that builds
+an array, so importing ``repro.harness`` does not load it.
 """
-
-
-import numpy as np
 
 
 def _text_span(binary):
@@ -27,6 +27,8 @@ def fetch_heatmap(cpu, grid=64, span=None):
     """
     if cpu.fetch_heat is None:
         raise ValueError("run the CPU with fetch_heat=True")
+    import numpy as np
+
     lo, hi = span or _text_span(cpu.machine.binary)
     total_bytes = max(1, hi - lo)
     cells = grid * grid

@@ -23,13 +23,16 @@ DEFAULT_MAX_INSTRUCTIONS = 80_000_000
 
 
 class BuiltBinary:
-    """An executable plus how it was built."""
+    """An executable plus how it was built.
 
-    def __init__(self, exe, label, workload, compile_result=None):
+    It keeps no compiler IR or relocatable objects: both are freed when
+    ``build_workload`` returns, so a build costs only its executable.
+    """
+
+    def __init__(self, exe, label, workload):
         self.exe = exe
         self.label = label
         self.workload = workload
-        self.compile_result = compile_result
 
     def __repr__(self):
         return f"<BuiltBinary {self.label} text={self.exe.text_size()}B>"
@@ -95,7 +98,7 @@ def build_workload(
         profile = _map_to_source(exe, bin_profile)
 
     options = base_options.copy(profile=profile)
-    objects, lib_objects, result = _compile_all(workload, options)
+    objects, lib_objects, _ = _compile_all(workload, options)
     order = None
     if hfsort_link:
         exe0 = link(objects, libs=lib_objects, name=workload.spec.name,
@@ -107,7 +110,7 @@ def build_workload(
                emit_relocs=emit_relocs, function_order=order,
                icf=linker_icf)
     return BuiltBinary(exe, label or _label(lto, pgo, autofdo, hfsort_link),
-                       workload, result)
+                       workload)
 
 
 def _label(lto, pgo, autofdo, hfsort_link):

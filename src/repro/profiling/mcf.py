@@ -12,9 +12,11 @@ node, minimizing the cost of deviating from the measurements.  Nodes
 are split (v_in -> v_out) with a "measurement" arc of cost 0 up to
 w(v) and increasing cost beyond, plus slack arcs from a supersource /
 to a supersink so the program's entry/exits balance.
-"""
 
-import networkx as nx
+networkx is imported inside ``min_cost_flow_edges``: only non-LBR
+profiles reach it, and importing it with this module would add about
+0.1 s and over 10 MB of resident memory to every ``repro`` process.
+"""
 
 
 def min_cost_flow_edges(blocks, edges, counts, entry, exits):
@@ -30,6 +32,8 @@ def min_cost_flow_edges(blocks, edges, counts, entry, exits):
 
     Returns {edge: flow}.
     """
+    import networkx as nx
+
     blocks = list(blocks)
     edges = list(edges)
     graph = nx.DiGraph()

@@ -370,6 +370,15 @@ def test_uarch_config_sizes_at_least_one(field):
     assert cpu.output == [2]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("l1d_assoc", 0), ("bp_table_bits", -1)])
+def test_uarch_config_rejects_unbuildable_geometry(field, value):
+    """``l1d_assoc=0`` used to crash mid-run with ``ZeroDivisionError``
+    and ``bp_table_bits=-1`` with ``negative shift count``."""
+    with pytest.raises(ValueError, match=field):
+        UarchConfig(**{field: value})
+
+
 def test_l2_level_reduces_cycles():
     """Enabling a private L2 reduces L1-miss cost and shows up in the
     counters."""
