@@ -15,6 +15,9 @@ Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
 * **End-to-end** — the full ``optimize_binary`` pipeline on the
   compiler workload, fast kernels vs the pre-PR kernels monkeypatched
   back in.  Acceptance: >= 2x faster.
+* **Lite mode** — one BOLT job per single-host preset with
+  ``lite=False`` and with lite mode on: job CPU time, the functions
+  each processes, and the hot, cold and in-place bytes.
 * **Front end** — ``parse_module`` on every preset's BC sources at
   seeds 0-2, the regex scanner and value-keyed parser against the
   character-loop lexer and parser in ``tests.oracles``; the ASTs must
@@ -34,7 +37,7 @@ import pytest
 from conftest import SCALE, print_table, record_bench, scaled
 from repro.belf import write_binary
 from repro.belf.linetable import LineTable
-from repro.core import BoltOptions
+from repro.core import BoltOptions, optimize_binary
 from tests.oracles.reference_kernels import (
     check_callee_saved_reference,
     check_flags_reference,
@@ -357,6 +360,51 @@ def test_end_to_end_processing_time(monkeypatch):
         "passes": timing_fast.as_dict().get("passes", []),
     })
     assert speedup >= 2.0, f"acceptance: expected >= 2x, got {speedup:.2f}x"
+
+
+#: The presets whose fresh single-host profile matches exactly.
+LITE_PRESETS = ("compiler", "hhvm", "proxygen")
+
+
+def test_lite_mode_processing_time():
+    """Job CPU time, full vs lite mode, per preset: lite mode processes
+    only the functions the exact profile names and must be cheaper."""
+
+    def job(exe, profile, lite):
+        best = result = None
+        for _ in range(2):
+            t0 = time.process_time()
+            result = optimize_binary(exe, profile, BoltOptions(lite=lite))
+            elapsed = time.process_time() - t0
+            best = elapsed if best is None else min(best, elapsed)
+        assert result.degraded is None
+        functions = len(result.context.functions)
+        return {"cpu_s": round(best, 3),
+                "functions_processed": functions - result.kept_count,
+                "hot_bytes": result.hot_text_size,
+                "cold_bytes": result.cold_text_size,
+                "in_place_bytes": result.kept_text_size}
+
+    payload, rows = {}, []
+    for name in LITE_PRESETS:
+        built = build_workload(scaled(name), lto=(name == "hhvm"))
+        profile, _ = sample_profile(built)
+        full = job(built.exe, profile, lite=False)
+        lite = job(built.exe, profile, lite=True)
+        payload[name] = {"full": full, "lite": lite}
+        for mode, entry in (("full", full), ("lite", lite)):
+            rows.append((name, mode, f"{entry['cpu_s']:.2f}s",
+                         entry["functions_processed"], entry["hot_bytes"],
+                         entry["cold_bytes"], entry["in_place_bytes"]))
+    print_table("One BOLT job, full vs lite mode (job CPU time)",
+                ("preset", "mode", "cpu", "functions", "hot B", "cold B",
+                 "in-place B"), rows)
+    _record("lite", payload)
+    for name, entry in payload.items():
+        assert entry["full"]["in_place_bytes"] == 0, name
+        assert (entry["lite"]["functions_processed"]
+                < entry["full"]["functions_processed"]), name
+        assert entry["lite"]["cpu_s"] < entry["full"]["cpu_s"], name
 
 
 def test_front_end_processing_time():

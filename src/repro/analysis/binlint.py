@@ -60,8 +60,10 @@ def _func_symbols(binary):
                   key=lambda s: (s.value, s.size))
 
 
-def _lint_metadata(binary, report, decoded):
-    """Tiers 1+2 into ``report``.
+def _lint_metadata(binary, report, decoded, kept=()):
+    """Tiers 1+2 into ``report``; the bodies of the functions named in
+    ``kept`` (a lite-mode rewrite left them as the input had them) get
+    the tier-1 checks only.
 
     Returns the findings that leave the binary structurally broken,
     whether suppressed or not: a bad entry point (BL101), a symbol
@@ -122,6 +124,8 @@ def _lint_metadata(binary, report, decoded):
                 function=name, address=sym.value))
             continue
         span = (sym.value, sym.size)
+        if name in kept:
+            continue
         if span in seen_ranges:
             continue  # exact alias: lint the bytes once
         seen_ranges.add(span)
@@ -211,10 +215,11 @@ def _lint_body(section, sym, name, report):
 # ---------------------------------------------------------------------------
 
 
-def _rebuild(binary, options, decoded):
+def _rebuild(binary, options, decoded, kept=()):
     """Reconstruct a binary's CFGs from ``decoded`` bodies (see
-    :func:`_lint_metadata`); returns (context, None), or (None, a BL102
-    finding) when reconstruction itself fails."""
+    :func:`_lint_metadata`), except those of the functions named in
+    ``kept``, which stay kept; returns (context, None), or (None, a
+    BL102 finding) when reconstruction itself fails."""
     from repro.core.binary_context import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.discovery import discover_functions
@@ -225,7 +230,13 @@ def _rebuild(binary, options, decoded):
     try:
         context = BinaryContext(binary, opts)
         discover_functions(context)
-        build_all_functions(context, decoded)
+        build = []
+        for name, func in context.functions.items():
+            if name in kept:
+                func.is_kept = True
+            else:
+                build.append(func)
+        build_all_functions(context, decoded, functions=build)
     except Exception as exc:
         return None, Finding(
             "BL102",
@@ -251,7 +262,9 @@ def gate_problems(binary, options, result=None):
       decode (BL101/BL103/BL102/BL105) plus BL007 on its reconstructed
       CFGs.  Only what held for the input is demanded of the output: a
       function whose symbol or body was already broken going in is
-      contained, not repaired.
+      contained, not repaired.  The bodies a lite-mode rewrite kept in
+      place get the bounds checks only: they are neither decoded nor
+      rebuilt.
     * ``static`` — every checker on that same output context, then
       translation validation of each emitted function against its
       optimized IR (BL2xx).
@@ -270,13 +283,14 @@ def gate_problems(binary, options, result=None):
     out = result.binary
     report = LintReport(suppressions=options.lint_suppress)
     intact, decodable = _input_health(result.context)
+    kept = {func.name for func in result.context.kept_functions()}
     decoded = {}
-    broken = [f for f in _lint_metadata(out, report, decoded)
+    broken = [f for f in _lint_metadata(out, report, decoded, kept)
               if f.function is None or _base_name(f.function) in (
                   intact if f.rule == "BL103" else decodable)]
     if broken:
         return _render("output fails lint", broken)
-    context, failure = _rebuild(out, options, decoded)
+    context, failure = _rebuild(out, options, decoded, kept)
     if failure is not None:
         return _render("output fails lint", [failure])
     invalid = []

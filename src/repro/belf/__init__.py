@@ -22,6 +22,7 @@ from repro.belf.constants import (
     PAGE_SIZE,
     FUNCTION_ALIGN,
     TEXT_COLD,
+    TEXT_ORG,
 )
 from repro.belf.section import Section, align_up
 from repro.belf.symbol import Symbol
@@ -48,6 +49,7 @@ __all__ = [
     "PAGE_SIZE",
     "FUNCTION_ALIGN",
     "TEXT_COLD",
+    "TEXT_ORG",
     "Section",
     "align_up",
     "Symbol",

@@ -63,6 +63,9 @@ FUNCTION_ALIGN = 16
 #: Section names with conventional roles.
 TEXT = ".text"
 TEXT_COLD = ".text.cold"
+#: Where a lite-mode rewrite in relocations mode keeps the input's
+#: ``.text``: the bodies it left in place run from here (llvm-bolt's name).
+TEXT_ORG = ".bolt.org.text"
 RODATA = ".rodata"
 DATA = ".data"
 BSS = ".bss"

@@ -46,16 +46,21 @@ class LineTable:
             self._sorted = True
             self._keys = None
 
-    def lookup(self, addr):
-        """Source location covering ``addr``: (file, line) or None."""
+    def _sorted_keys(self):
+        """The sorted row addresses.  The bisect key list is cached
+        across queries; rebuilding it on every query made profile
+        attribution quadratic in table size."""
         self._ensure_sorted()
-        if not self.entries:
-            return None
-        # The bisect key list is cached across lookups; rebuilding it on
-        # every query made profile attribution quadratic in table size.
         keys = self._keys
         if keys is None:
             keys = self._keys = [e.addr for e in self.entries]
+        return keys
+
+    def lookup(self, addr):
+        """Source location covering ``addr``: (file, line) or None."""
+        if not self.entries:
+            return None
+        keys = self._sorted_keys()
         idx = bisect.bisect_right(keys, addr) - 1
         if idx < 0:
             return None
@@ -66,12 +71,9 @@ class LineTable:
         """``[lookup(a) for a in addrs]`` for ascending ``addrs``: one
         bisect, then a forward walk.  Addresses covered by the same row
         share one location tuple."""
-        self._ensure_sorted()
         if not self.entries:
             return [None] * len(addrs)
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = [e.addr for e in self.entries]
+        keys = self._sorted_keys()
         entries = self.entries
         last = len(keys) - 1
         idx = bisect.bisect_right(keys, addrs[0]) - 1 if addrs else -1
@@ -88,6 +90,12 @@ class LineTable:
                 shared_idx, loc = idx, (entry.file, entry.line)
             out.append(loc)
         return out
+
+    def between(self, lo, hi):
+        """The rows at addresses in ``[lo, hi)``, in address order."""
+        keys = self._sorted_keys()
+        return self.entries[bisect.bisect_left(keys, lo):
+                            bisect.bisect_left(keys, hi)]
 
     def rebase(self, mapping):
         """Return a new table with addresses translated through ``mapping``.

@@ -94,6 +94,7 @@ def cmd_bolt(args):
         strict=args.strict,
         validate_output=args.validate,
         lint="none" if args.no_lint else "post",
+        lite=args.lite,
         lint_suppress=tuple(args.suppress or ()),
         time_opts=args.time_opts,
         time_rewrite=args.time_rewrite,
@@ -101,7 +102,8 @@ def cmd_bolt(args):
     result = optimize_binary(exe, profile, options)
     pathlib.Path(args.output).write_bytes(write_binary(result.binary))
     print(f"wrote {args.output}: hot text {result.hot_text_size}B "
-          f"(+{result.cold_text_size}B cold), was {exe.text_size()}B")
+          f"(+{result.cold_text_size}B cold, +{result.kept_text_size}B "
+          f"in place), was {exe.text_size()}B")
     if result.timing:
         from repro.core.reports import format_timing_table
         print(format_timing_table(result.timing))
@@ -290,6 +292,9 @@ def make_parser():
                         "validation; execute adds a smoke run")
     p.add_argument("--no-lint", action="store_true",
                    help="disable the post-pass lint gate")
+    p.add_argument("--no-lite", dest="lite", action="store_false",
+                   help="process every function even when the profile "
+                        "matches the binary exactly (llvm-bolt -lite=0)")
     p.add_argument("--suppress", action="append", default=[],
                    metavar="RULE",
                    help="suppress a lint rule (BL003 or func:BL001); "

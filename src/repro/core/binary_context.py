@@ -47,6 +47,8 @@ class BinaryContext:
             s.link_name(): s for s in binary.symbols
             if s.type == SymbolType.OBJECT
         }
+        self.object_by_addr = {
+            s.value: s for s in self.object_symbols.values()}
 
         # PLT map: stub address -> (symbol name, final target address)
         self.plt_map = self._index_plt()
@@ -135,4 +137,8 @@ class BinaryContext:
 
     def simple_functions(self):
         return [f for f in self.functions.values()
-                if f.is_simple and not f.is_folded]
+                if f.is_simple and not f.is_folded and not f.is_kept]
+
+    def kept_functions(self):
+        """The functions a lite-mode job left in place."""
+        return [f for f in self.functions.values() if f.is_kept]

@@ -78,7 +78,9 @@ class BinaryFunction:
 
     ``is_simple`` mirrors real BOLT: only simple functions (whose CFG
     was reconstructed with full confidence) are optimized; the rest are
-    carried through unchanged (paper sections 3.1 and 6.4).
+    carried through unchanged (paper sections 3.1 and 6.4).  A lite-mode
+    job ``is_kept`` the functions its exact profile never names: they
+    are never decoded and stay at their input addresses.
     """
 
     def __init__(self, name, address, size, section=".text"):
@@ -87,6 +89,7 @@ class BinaryFunction:
         self.size = size
         self.section = section
         self.is_simple = True
+        self.is_kept = False            # lite mode: left in place, no CFG
         self.simple_violation = None    # why the function is non-simple
         self.blocks = {}                # label -> BinaryBasicBlock (layout order)
         self.entry_label = None
@@ -152,6 +155,7 @@ class BinaryFunction:
         return [b for b in self.blocks.values() if b.exec_count < threshold]
 
     def __repr__(self):
-        state = "simple" if self.is_simple else f"non-simple({self.simple_violation})"
+        state = ("kept" if self.is_kept else "simple" if self.is_simple
+                 else f"non-simple({self.simple_violation})")
         return (f"<BinaryFunction {self.name} @{self.address:#x} size={self.size} "
                 f"{state} blocks={len(self.blocks)}>")

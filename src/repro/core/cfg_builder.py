@@ -20,18 +20,17 @@ _JMP_REG, _CALL = Op.JMP_REG, Op.CALL
 ABS_SYMBOL = "__abs__"
 
 
-def build_all_functions(context, decoded=None):
-    """Disassemble + build CFGs for every discovered function.
+def build_all_functions(context, decoded=None, functions=None):
+    """Disassemble + build CFGs for every discovered function, or for
+    ``functions`` only.
 
     ``decoded`` optionally maps ``(address, size)`` to a body a caller
     already decoded from the same bytes (the lint gate's decode tier);
     each list is used by one function, which then owns it.
     """
-    # Address -> OBJECT symbol index (jump-table discovery).
-    context._object_by_addr = {
-        sym.value: sym for sym in context.object_symbols.values()
-    }
-    for func in context.functions.values():
+    if functions is None:
+        functions = context.functions.values()
+    for func in functions:
         insns = None
         if decoded:
             insns = decoded.pop((func.address, func.size), None)
@@ -238,7 +237,7 @@ def _match_jump_table(context, func, insns, index):
     if mov.op != Op.MOV_RI32 or mov.regs[0] != loadidx.regs[1]:
         return None
     table_addr = mov.imm
-    sym = context._object_by_addr.get(table_addr)
+    sym = context.object_by_addr.get(table_addr)
     section = context.section_at(table_addr) if sym is None else None
     if sym is not None:
         count = sym.size // 8

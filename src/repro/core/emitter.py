@@ -36,8 +36,9 @@ class Fragment:
 
 class SymbolResolver:
     """Symbol addresses once every fragment is placed: a fragment's
-    address, an ICF-folded function's survivor, a data symbol of the
-    input binary, or a simulator builtin."""
+    address, an ICF-folded function's survivor, a function lite mode
+    kept in place, a data symbol of the input binary, or a simulator
+    builtin."""
 
     def __init__(self, context, fragments):
         self.context = context
@@ -58,6 +59,8 @@ class SymbolResolver:
         func = self.context.functions.get(name)
         if func is not None and func.is_folded:
             return self.fragments[func.survivor().name].address
+        if func is not None and func.is_kept:
+            return func.address
         if name in self.data_symbols:
             return self.data_symbols[name]
         return BUILTINS.get(name)

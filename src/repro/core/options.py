@@ -41,6 +41,7 @@ class BoltOptions:
         lint_suppress=(),               # ("BL003", "crc32:BL001", ...)
         stale_matching=True,            # fuzzy-match stale profiles
         stale_min_quality=0.0,          # below: drop the profile entirely
+        lite=True,                      # leave unprofiled functions in place
         time_opts=False,                # per-pass wall time (-time-opts)
         time_rewrite=False,             # per-phase wall time (-time-rewrite)
     ):
@@ -74,6 +75,7 @@ class BoltOptions:
         self.lint_suppress = lint_suppress
         self.stale_matching = stale_matching
         self.stale_min_quality = stale_min_quality
+        self.lite = lite
         self.time_opts = time_opts
         self.time_rewrite = time_rewrite
 

@@ -58,7 +58,7 @@ def attach_profile(context, profile):
     totals = _MatchTotals()
     for func in context.functions.values():
         func.exec_count = max(0, entry_counts.get(func.name, 0))
-        if not func.is_simple:
+        if not func.is_simple or func.is_kept:
             continue
         source = source_of.get(func.name, func.name)
         if profile.lbr:

@@ -10,8 +10,17 @@ Two operating modes, mirroring the paper's evolution:
 * **relocations mode** (section 3.2): with ``--emit-relocs``
   information available, every function is repositioned — enabling
   whole-binary function reordering (HFSort) and aggressive splitting.
+
+**Lite mode** (``BoltOptions.lite``, llvm-bolt's ``-lite``): when the
+profile provably describes this binary, only the functions it names
+are processed.  The rest are *kept*: never decoded, left at their input
+addresses.  In relocations mode the input's ``.text`` then stays put as
+``.bolt.org.text``; processed code goes into a new ``.text`` after the
+last allocated section, and the input's retained relocations patch the
+kept bodies' references to it.
 """
 
+import bisect
 import time
 from contextlib import nullcontext
 
@@ -30,6 +39,7 @@ from repro.belf import (
     FUNCTION_ALIGN,
     PAGE_SIZE,
     TEXT_COLD,
+    TEXT_ORG,
     align_up,
     apply_relocation,
 )
@@ -46,7 +56,7 @@ from repro.core.emitter import (
 )
 from repro.core.options import BoltOptions
 from repro.core.passes.base import build_pipeline
-from repro.core.profile_attach import attach_profile
+from repro.core.profile_attach import attach_profile, measure_match_quality
 from repro.core.timing import timing_report_for
 
 
@@ -69,6 +79,8 @@ class RewriteResult:
         self.reverted = []
         self.hot_text_size = 0
         self.cold_text_size = 0
+        self.kept_count = 0      # lite mode: functions left in place
+        self.kept_text_size = 0  # ... and their bytes (not in hot/cold)
         self.degraded = None    # None | "in-place" | "passthrough"
         self.fragments = None   # name -> emitted Fragment (set by _rewrite)
         self.timing = None      # TimingReport (set when timing options on)
@@ -94,18 +106,23 @@ class RewriteResult:
     def info_lines(self):
         """The BOLT-INFO lines of :meth:`summary`."""
         functions = list(self.context.functions.values())
-        simple = [f for f in functions if f.is_simple]
+        simple = [f for f in functions if f.is_simple and not f.is_kept]
         profiled = [f for f in simple if f.has_profile]
         folded = [f for f in functions if f.is_folded]
+        skipped = sum(1 for f in functions if not f.is_simple)
         lines = [
             f"BOLT-INFO: {len(functions)} functions discovered, "
-            f"{len(simple)} simple ({len(functions) - len(simple)} "
-            f"conservatively skipped)",
+            f"{len(simple)} simple ({skipped} conservatively skipped)",
             f"BOLT-INFO: {len(profiled)} functions with profile "
             f"({len(folded)} folded by ICF)",
             f"BOLT-INFO: {self.context.binary.text_size():,}B text in -> "
             f"{self.hot_text_size:,}B hot + {self.cold_text_size:,}B cold out",
         ]
+        if self.kept_count:
+            lines.append(
+                f"BOLT-INFO: lite mode: {self.kept_count} function(s) "
+                f"without profile left in place "
+                f"({self.kept_text_size:,}B)")
         if self.reverted:
             lines.append(
                 f"BOLT-INFO: {len(self.reverted)} function(s) reverted "
@@ -238,7 +255,7 @@ def _optimize_once(binary, profile, options):
     with _phase(timing, "discover functions"):
         discover_functions(context)
     with _phase(timing, "build CFGs"):
-        build_all_functions(context)
+        _build_cfgs(context, profile)
     context.profile = profile
     context.function_order = None
     if profile is not None:
@@ -266,6 +283,57 @@ def _optimize_once(binary, profile, options):
         timing.total_seconds = time.perf_counter() - started
     result.timing = timing
     return result
+
+
+def _build_cfgs(context, profile):
+    """Build the CFGs of the functions this job processes.
+
+    Lite mode keeps every function the profile does not name, but only
+    when the profile provably describes this binary (see
+    :func:`_lite_candidates`) and, once the named functions' CFGs are
+    built, every intra-function record lands exactly on one of their
+    edges (match quality 1.0).  A profile from another build misses
+    executed code, so anything less builds every CFG, as a full job
+    does.  Symbols aliasing a named body are processed with it.
+    """
+    names = _lite_candidates(context, profile)
+    if names is None:
+        build_all_functions(context)
+        return
+    functions = context.functions
+    spans = {(functions[name].address, functions[name].size)
+             for name in names}
+    named, rest = [], []
+    for func in functions.values():
+        (named if (func.address, func.size) in spans else rest).append(func)
+    build_all_functions(context, functions=named)
+    if measure_match_quality(context, profile)["quality"] != 1.0:
+        build_all_functions(context, functions=rest)
+        return
+    for func in rest:
+        func.is_kept = True
+
+
+def _lite_candidates(context, profile):
+    """The names ``profile`` gives, when the checks that need no CFG
+    allow lite mode: lite is on, the profile is an LBR profile stamped
+    with this binary's build id, it names only functions the binary
+    has, and no intra-function record lies outside its function.
+    Otherwise None.  A stale fleet profile fails here, before any CFG
+    is built."""
+    if not (context.options.lite and profile is not None and profile.lbr
+            and profile.build_id == context.build_id):
+        return None
+    functions = context.functions
+    names = profile.functions()
+    if not names.issubset(functions):
+        return None
+    for src, dst in profile.branches:
+        if src[0] == dst[0]:
+            size = functions[src[0]].size
+            if not (0 <= src[1] < size and 0 <= dst[1] < size):
+                return None
+    return names
 
 
 def _lint_gate(context):
@@ -336,11 +404,15 @@ def _rewrite(context, result):
     binary = context.binary
     options = context.options
     relocs_mode = context.use_relocations
+    kept = context.kept_functions()
+    # Lite mode in relocations mode: the input's .text stays put as
+    # TEXT_ORG and processed code moves to a new .text.
+    moves_text = relocs_mode and bool(kept)
 
     # 1. Emit fragments.
     frag_lists = {}
     for name, func in context.functions.items():
-        if func.is_folded:
+        if func.is_folded or func.is_kept:
             continue
         frag_lists[name] = emit_function(func, options)
 
@@ -366,7 +438,8 @@ def _rewrite(context, result):
     # 2. Place fragments.
     old_text = binary.get_section(".text")
     if relocs_mode:
-        hot_addr_end = _place_relocations_mode(context, binary, frag_lists)
+        hot_addr_end = _place_relocations_mode(context, binary, frag_lists,
+                                               fresh=moves_text)
     else:
         hot_addr_end = _place_in_place_mode(binary, frag_lists)
     cold_base = _next_free_address(binary, extra_end=hot_addr_end)
@@ -396,9 +469,12 @@ def _rewrite(context, result):
     out.add_section(text)
 
     for section in binary.sections.values():
-        if section.name == ".text":
-            continue
-        clone = Section(section.name, type=section.type, flags=section.flags,
+        name = section.name
+        if name == ".text":
+            if not moves_text:
+                continue
+            name = TEXT_ORG
+        clone = Section(name, type=section.type, flags=section.flags,
                         addr=section.addr, data=bytes(section.data),
                         align=section.align,
                         mem_size=section.size if not section.data else None)
@@ -421,7 +497,10 @@ def _rewrite(context, result):
         out.add_section(cold)
 
     def section_for(frag):
-        return cold if frag.is_cold else text
+        if frag.is_cold:
+            return cold
+        # In place, a function is rewritten inside its own section.
+        return text if relocs_mode else out.get_section(frag.func.section)
 
     # 4. Write fragment bytes (padding freed space with NOPs in place).
     for frag in fragments.values():
@@ -516,9 +595,11 @@ def _rewrite(context, result):
             apply_relocation(out_section.data, reloc.offset, reloc.type,
                              target + reloc.addend,
                              out_section.addr + reloc.offset)
+    if moves_text:
+        _patch_kept_bodies(context, out, fragments)
 
     # 8. Symbols (with moved jump tables re-pointed at .rodata.hot).
-    _emit_symbols(context, out, fragments)
+    _emit_symbols(context, out, fragments, moves_text)
     if moved_tables:
         relocated = {func_table[1].address: func_table[1].moved_to
                      for func_table in moved_tables}
@@ -540,11 +621,14 @@ def _rewrite(context, result):
     if entry_sym is None:
         raise RewriteError("entry point not inside any function")
     entry_func = context.functions[entry_sym.link_name()].survivor()
-    out.entry = fragments[entry_func.name].address
+    out.entry = (binary.entry if entry_func.is_kept
+                 else fragments[entry_func.name].address)
 
     result.hot_text_size = sum(
         f.size for f in fragments.values() if not f.is_cold)
     result.cold_text_size = cold_size
+    result.kept_count = len(kept)
+    result.kept_text_size = sum(f.size for f in kept)
     result.fragments = fragments
     return out
 
@@ -557,8 +641,12 @@ def _next_free_address(binary, extra_end=0):
     return align_up(end, PAGE_SIZE)
 
 
-def _place_relocations_mode(context, binary, frag_lists):
-    """Sequential placement in (HFSort) order; returns the end address."""
+def _place_relocations_mode(context, binary, frag_lists, fresh=False):
+    """Sequential placement in (HFSort) order; returns the end address.
+
+    Placement starts at the input's ``.text`` unless the hot code does
+    not fit there or ``fresh`` asks for new space past every allocated
+    section (lite mode, whose kept bodies still occupy ``.text``)."""
     old_text = binary.get_section(".text")
     order = context.function_order
     names = [n for n in frag_lists]
@@ -570,7 +658,7 @@ def _place_relocations_mode(context, binary, frag_lists):
         for frags in frag_lists.values() for f in frags if not f.is_cold)
     plt = binary.get_section(".plt")
     capacity = (plt.addr if plt is not None else 1 << 62) - old_text.addr
-    if hot_total <= capacity:
+    if hot_total <= capacity and not fresh:
         base = old_text.addr
     else:
         base = _next_free_address(binary)
@@ -629,18 +717,47 @@ def _label_address(fragments, func, label):
     raise RewriteError(f"label {label} of {func.name} not emitted")
 
 
-def _emit_symbols(context, out, fragments):
-    for sym in context.binary.symbols:
-        if sym.type != SymbolType.FUNC:
-            out.add_symbol(Symbol(sym.name, value=sym.value, size=sym.size,
-                                  type=sym.type, bind=sym.bind,
-                                  section=sym.section, module=sym.module))
+def _patch_kept_bodies(context, out, fragments):
+    """Point the kept bodies' references at the code that moved.
+
+    The input's retained ``.text`` relocations inside a kept body are
+    applied again, against the output addresses, when they name a
+    processed function; a call the linker routed through a PLT stub
+    then calls the function directly, as the ``plt`` pass makes
+    processed code do.  Everything else a kept body references (data,
+    builtins, other kept code) did not move.  A processed function's
+    old body is left intact.
+    """
+    text = context.binary.get_section(".text")
+    org = out.get_section(TEXT_ORG)
+    moved = {name: fragments[func.survivor().name].address
+             for name, func in context.functions.items()
+             if not func.is_kept}
+    spans = sorted((f.address, f.address + f.size)
+                   for f in context.kept_functions())
+    starts = [lo for lo, _ in spans]
+    for reloc in context.binary.relocations:
+        target = moved.get(reloc.symbol)
+        if target is None or reloc.section != ".text":
             continue
-        func = context.functions.get(sym.link_name())
-        if func is None:
+        place = text.addr + reloc.offset
+        index = bisect.bisect_right(starts, place) - 1
+        if index < 0 or place >= spans[index][1]:
+            continue
+        apply_relocation(org.data, reloc.offset, reloc.type,
+                         target + reloc.addend, place)
+
+
+def _emit_symbols(context, out, fragments, moves_text):
+    for sym in context.binary.symbols:
+        func = (context.functions.get(sym.link_name())
+                if sym.type == SymbolType.FUNC else None)
+        if func is None or func.is_kept:
+            section = (TEXT_ORG if moves_text and sym.section == ".text"
+                       else sym.section)
             out.add_symbol(Symbol(sym.name, value=sym.value, size=sym.size,
                                   type=sym.type, bind=sym.bind,
-                                  section=sym.section, module=sym.module))
+                                  section=section, module=sym.module))
             continue
         frag = fragments[func.survivor().name]
         out.add_symbol(Symbol(sym.name, value=frag.address, size=frag.size,
@@ -663,7 +780,7 @@ def _emit_frame_records(context, out, fragments):
         if func.frame_record is None:
             continue
         record = func.frame_record
-        if not func.is_simple:
+        if not func.is_simple or func.is_kept:
             out.frame_records[name] = record.copy()
             continue
         for frag_name in (name, name + COLD_SUFFIX):
@@ -697,7 +814,11 @@ def _emit_frame_records(context, out, fragments):
 
 
 def _emit_line_table(context, out, fragments):
-    if context.binary.line_table is None:
+    """The output's line table: emitted fragments' rows, the input's
+    rows of raw fragments shifted with their body, and kept bodies'
+    rows as they were."""
+    rows = context.binary.line_table
+    if rows is None:
         return
     if not context.options.update_debug_sections:
         out.line_table = None
@@ -705,12 +826,14 @@ def _emit_line_table(context, out, fragments):
     table = LineTable()
     for frag in fragments.values():
         if frag.raw:
-            delta = frag.address - frag.func.address
-            lo, hi = frag.func.address, frag.func.address + frag.func.size
-            for entry in context.binary.line_table:
-                if lo <= entry.addr < hi:
-                    table.add(entry.addr + delta, entry.file, entry.line)
+            func = frag.func
+            delta = frag.address - func.address
+            for entry in rows.between(func.address, func.address + func.size):
+                table.add(entry.addr + delta, entry.file, entry.line)
             continue
         for offset, file, line in frag.image.line_rows:
             table.add(frag.address + offset, file, line)
+    for func in context.kept_functions():
+        for entry in rows.between(func.address, func.address + func.size):
+            table.add(entry.addr, entry.file, entry.line)
     out.line_table = table

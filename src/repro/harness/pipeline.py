@@ -200,12 +200,16 @@ def hfsort_link_order(exe, bin_profile, flavor="hfsort"):
 def run_bolt(built_or_exe, profile, options=None, smoke_inputs=None):
     """Apply BOLT; returns the RewriteResult.
 
+    The harness reproduces the 2019 paper's whole-binary BOLT, so lite
+    mode is always off here (``lite=False``, llvm-bolt's ``-lite=0``):
+    every figure, table and ablation leg processes every function.
+
     When ``smoke_inputs`` is given (or the workload's inputs are known)
     and the options request execution validation, the rewritten binary
     is smoke-tested for output equivalence before being returned.
     """
     exe = built_or_exe.exe if isinstance(built_or_exe, BuiltBinary) else built_or_exe
-    options = options or BoltOptions()
+    options = (options or BoltOptions()).copy(lite=False)
     if options.validate_output == "execute" and options.validate_inputs is None:
         if smoke_inputs is None and isinstance(built_or_exe, BuiltBinary):
             smoke_inputs = built_or_exe.workload.inputs

@@ -194,6 +194,17 @@ def test_line_table_lookup_ascending_matches_lookup(rows, probes):
     assert table.lookup_ascending(probes) == [table.lookup(a) for a in probes]
 
 
+@given(rows=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 9)),
+                    max_size=30),
+       lo=st.integers(-10, 450), width=st.integers(0, 200))
+def test_line_table_between_is_the_filtered_scan(rows, lo, width):
+    table = LineTable()
+    for addr, line in rows:
+        table.add(addr, "f.bc", line)
+    assert table.between(lo, lo + width) == [
+        entry for entry in table if lo <= entry.addr < lo + width]
+
+
 def test_line_table_empty_lookup():
     assert LineTable().lookup(5) is None
     table = LineTable()

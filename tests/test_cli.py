@@ -145,6 +145,32 @@ def test_cli_profile_rejects_nonpositive_period(workdir, capsys, period):
     assert not fdata.exists()
 
 
+def test_cli_bolt_lite_and_no_lite(workdir, capsys):
+    """With the exact profile ``profile`` writes, ``bolt`` leaves the
+    functions the profile never names (``unused`` among them) in place
+    and says so; ``--no-lite`` processes every function.  Both outputs
+    print the input's output."""
+    app = workdir / "app.bc"
+    app.write_text(SRC + "func unused(x) { return x * 7; }\n")
+    exe = workdir / "app.belf"
+    fdata = workdir / "app.fdata"
+    main(["build", str(app), "-o", str(exe)])
+    main(["profile", str(exe), "-o", str(fdata), "--period", "51"])
+    capsys.readouterr()
+    main(["run", str(exe)])
+    expected = capsys.readouterr().out.splitlines()[0]
+    for flags, lite in (([], True), (["--no-lite"], False)):
+        bolted = workdir / f"app{len(flags)}.bolt.belf"
+        assert main(["bolt", str(exe), "-p", str(fdata), "-o", str(bolted),
+                     "-v", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("+0B in place" not in lines[0]) == lite
+        assert any(line.startswith("BOLT-INFO: lite mode: ")
+                   for line in lines) == lite
+        assert main(["run", str(bolted)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected
+
+
 def test_cli_bolt_verbose_prints_each_line_once(workdir, capsys):
     """``-v`` with the timing options prints the timing tables, every
     BOLT-WARNING and the degraded line once, not once more in the

@@ -132,7 +132,7 @@ def test_in_place_respects_use_relocations_override(baseline):
 
 def test_function_reordering_applied(baseline):
     exe, cpu, profile = baseline
-    result = optimize_binary(exe, profile, BoltOptions())
+    result = optimize_binary(exe, profile, BoltOptions(lite=False))
     order = result.context.function_order
     assert order is not None
     # Hot functions (work, main...) must come before never-called ones.
@@ -141,6 +141,27 @@ def test_function_reordering_applied(baseline):
         for s in exe.functions() if s.name in ("work", "t2")
     }
     assert addresses["work"] < addresses["t2"]
+
+
+def test_lite_moves_profiled_code_and_keeps_the_rest(baseline):
+    """The lite twin of the test above: ``work`` moves into the new
+    ``.text``, the never-called ``t2`` stays put in the input's text,
+    now ``.bolt.org.text``."""
+    exe, cpu, profile = baseline
+    result = optimize_binary(exe, profile, BoltOptions())
+    out = result.binary
+    assert result.degraded is None
+    assert result.context.functions["t2"].is_kept
+    assert not result.context.functions["work"].is_kept
+    work, t2 = out.get_symbol("work"), out.get_symbol("t2")
+    assert work.section == ".text" and t2.section == ".bolt.org.text"
+    assert out.section_at(work.value).name == ".text"
+    assert t2.value == exe.get_symbol("t2").value
+    assert out.get_section(".text").addr > exe.get_section(".bss").addr
+    assert result.kept_count == len(result.context.kept_functions()) > 0
+    assert result.kept_text_size == sum(
+        f.size for f in result.context.kept_functions())
+    assert run_binary(out).output == cpu.output
 
 
 def test_cold_section_created(baseline):
@@ -198,6 +219,22 @@ def test_rebolt_output_runs(baseline):
     twice = optimize_binary(once, profile2, BoltOptions())
     # The second profile splits no new cold code, so the job succeeds.
     assert twice.degraded is None
+    assert run_binary(twice.binary).output == cpu.output
+
+
+def test_in_place_rewrite_stays_in_each_functions_section(baseline):
+    """Re-BOLTing in place rewrites a function inside its own section:
+    the BOLTed input's cold fragments are functions in ``.text.cold``,
+    and no section of the input changes size."""
+    exe, cpu, profile = baseline
+    once = optimize_binary(exe, profile, BoltOptions()).binary
+    profile2, _ = profile_binary(once, sampling=SamplingConfig(period=43))
+    twice = optimize_binary(once, profile2, BoltOptions())
+    assert twice.degraded is None and not twice.context.use_relocations
+    assert any(func.section == ".text.cold" and func.is_simple
+               for func in twice.context.functions.values())
+    for name, section in once.sections.items():
+        assert twice.binary.get_section(name).size == section.size, name
     assert run_binary(twice.binary).output == cpu.output
 
 
