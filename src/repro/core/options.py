@@ -15,7 +15,6 @@ class BoltOptions:
         reorder_functions="hfsort+",    # none | hfsort | hfsort+
         split_functions=3,              # 0=never .. 3=aggressive
         split_all_cold=True,
-        split_eh=True,
         icf=True,
         icp=True,
         icp_mispredict_threshold=0.05,
@@ -30,7 +29,6 @@ class BoltOptions:
         uce=True,
         strip_nops=True,
         jump_tables="move",             # none | move (hot tables to .rodata.hot)
-        update_debug_sections=True,
         use_relocations=None,           # None = auto (binary has relocs)
         trust_fall_through=True,        # section 5.2 flow repair policy
         hot_threshold=1,                # min count for a block to be hot
@@ -39,8 +37,6 @@ class BoltOptions:
         validate_inputs=None,           # smoke inputs for "execute"
         lint="post",                    # none | post (post-pass lint gate)
         lint_suppress=(),               # ("BL003", "crc32:BL001", ...)
-        stale_matching=True,            # fuzzy-match stale profiles
-        stale_min_quality=0.0,          # below: drop the profile entirely
         lite=True,                      # leave unprofiled functions in place
         time_opts=False,                # per-pass wall time (-time-opts)
         time_rewrite=False,             # per-phase wall time (-time-rewrite)
@@ -49,7 +45,6 @@ class BoltOptions:
         self.reorder_functions = reorder_functions
         self.split_functions = split_functions
         self.split_all_cold = split_all_cold
-        self.split_eh = split_eh
         self.icf = icf
         self.icp = icp
         self.icp_mispredict_threshold = icp_mispredict_threshold
@@ -64,7 +59,6 @@ class BoltOptions:
         self.uce = uce
         self.strip_nops = strip_nops
         self.jump_tables = jump_tables
-        self.update_debug_sections = update_debug_sections
         self.use_relocations = use_relocations
         self.trust_fall_through = trust_fall_through
         self.hot_threshold = hot_threshold
@@ -73,8 +67,6 @@ class BoltOptions:
         self.validate_inputs = validate_inputs
         self.lint = lint
         self.lint_suppress = lint_suppress
-        self.stale_matching = stale_matching
-        self.stale_min_quality = stale_min_quality
         self.lite = lite
         self.time_opts = time_opts
         self.time_rewrite = time_rewrite

@@ -40,8 +40,6 @@ class ReorderBasicBlocks(BinaryPass):
                 if label == func.entry_label:
                     continue
                 cold = block.exec_count < threshold
-                if block.is_landing_pad and not options.split_eh:
-                    cold = False
                 if not options.split_all_cold and options.split_functions < 3:
                     # Conservative splitting: only split blocks with no
                     # profile activity at all *and* large bodies.

@@ -9,7 +9,7 @@ Implements the paper's section 5.2 semantics:
   trusting the original layout done by the static compiler").
 * **non-LBR mode** — only per-address sample counts exist; block counts
   are summed samples and edge counts are recovered with min-cost flow
-  (Levin/FDPR) or a proportional heuristic.
+  (Levin/FDPR).
 
 Each function is stamped with a profile-match score (the "Profile Acc"
 of the paper's Figure 4 dump): the fraction of branch records that
@@ -47,8 +47,7 @@ def attach_profile(context, profile):
     remap = {}
     if stale:
         context.stale_profile = True
-        if context.options.stale_matching:
-            remap = _match_stale_functions(context, profile)
+        remap = _match_stale_functions(context, profile)
     source_of = {fname: pname for pname, fname in remap.items()}
 
     entry_counts = _function_entry_counts(profile, remap)
@@ -84,14 +83,6 @@ def attach_profile(context, profile):
         diags.warning("profile",
                       f"stale profile detected ({reason}); {recovered}"
                       f"{remapped}{out_of_range}")
-        if (quality is not None
-                and quality < context.options.stale_min_quality):
-            diags.warning(
-                "profile",
-                f"match quality {quality:.1%} below threshold "
-                f"{context.options.stale_min_quality:.1%}; profile ignored")
-            _strip_profile(context)
-            return {}
     elif quality is not None:
         context.profile_quality = quality
     if dropped:
@@ -290,18 +281,6 @@ def measure_match_quality(context, profile, remap=None):
         "quality": (matched / total) if total else None,
         "remapped": len(remap),
     }
-
-
-def _strip_profile(context):
-    """Unusable profile: leave every function unannotated."""
-    for func in context.functions.values():
-        func.exec_count = 0
-        func.has_profile = False
-        func.profile_match = None
-        for block in func.blocks.values():
-            block.exec_count = 0
-            block.edge_counts = {}
-            block.edge_mispreds = {}
 
 
 # ---------------------------------------------------------------------------

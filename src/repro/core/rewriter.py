@@ -820,9 +820,6 @@ def _emit_line_table(context, out, fragments):
     rows = context.binary.line_table
     if rows is None:
         return
-    if not context.options.update_debug_sections:
-        out.line_table = None
-        return
     table = LineTable()
     for frag in fragments.values():
         if frag.raw:

@@ -4,10 +4,9 @@ The CPU's ``fetch_heat`` option records bytes fetched per instruction
 address; these helpers fold that into the paper's 64x64 log-scale
 matrix and compute the hot-footprint statistic behind the Figure 9
 discussion (hot code packed from 148.2 MB of text into ~4 MB).
-
-numpy is imported inside ``fetch_heatmap``, the one helper that builds
-an array, so importing ``repro.harness`` does not load it.
 """
+
+import math
 
 
 def _text_span(binary):
@@ -20,27 +19,24 @@ def _text_span(binary):
 
 
 def fetch_heatmap(cpu, grid=64, span=None):
-    """A (grid x grid) matrix of log-scaled average fetches per byte.
+    """``grid`` rows of ``grid`` log-scaled average fetches per byte.
 
     ``span`` defaults to the binary's executable address range; pass an
     explicit (lo, hi) to compare before/after on the same axis.
     """
     if cpu.fetch_heat is None:
         raise ValueError("run the CPU with fetch_heat=True")
-    import numpy as np
-
     lo, hi = span or _text_span(cpu.machine.binary)
     total_bytes = max(1, hi - lo)
     cells = grid * grid
     block = max(1, (total_bytes + cells - 1) // cells)
-    flat = np.zeros(cells)
+    flat = [0] * cells
     for addr, count in cpu.fetch_heat.items():
         if lo <= addr < hi:
             flat[(addr - lo) // block] += count
-    flat /= block  # average fetches per byte
-    with np.errstate(divide="ignore"):
-        flat = np.where(flat > 0, np.log10(flat * 10 + 1), 0.0)
-    return flat.reshape((grid, grid))
+    # Average fetches per byte, log-scaled.
+    flat = [math.log10(n / block * 10 + 1) if n else 0.0 for n in flat]
+    return [flat[row:row + grid] for row in range(0, cells, grid)]
 
 
 def hot_footprint(cpu, coverage=0.99, block=64):
@@ -89,7 +85,7 @@ def hot_span(cpu, coverage=0.99, block=64):
 
 def render_heatmap(matrix, levels=" .:-=+*#%@"):
     """ASCII rendering of a heat matrix (for reports/tests)."""
-    hi = matrix.max() or 1.0
+    hi = max(map(max, matrix)) or 1.0
     rows = []
     for row in matrix:
         rows.append("".join(

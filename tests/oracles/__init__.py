@@ -6,10 +6,12 @@ tests and benchmarks can check its replacement gives the same results:
 - :mod:`tests.oracles.lexer` and :mod:`tests.oracles.parser`: the BC
   front end before the regex scanner and the value-keyed parser;
 - :mod:`tests.oracles.reference_interp`: the BC tree-walking
-  interpreter before closure compilation.
+  interpreter before closure compilation;
 - :mod:`tests.oracles.reference_kernels`: the ordering kernels,
   pass snapshot, line-table lookup, use/def and ICF-key walks and
-  BL001-BL003 checkers before the processing-time rewrites.
+  BL001-BL003 checkers before the processing-time rewrites;
+- :mod:`tests.oracles.mcf_networkx`: the non-LBR edge-count recovery
+  through networkx before the package's own min-cost-flow solver.
 
 No module under ``src/repro`` imports this package.
 """

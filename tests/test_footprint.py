@@ -1,8 +1,10 @@
 """Resident footprint: what a ``repro`` process loads and keeps.
 
-Every worker of a rewrite pool pays its parent's footprint, so the
-package defers its two heavy dependencies (numpy, networkx) to the
-functions that use them, and a build keeps no compiler IR.
+Every worker of a rewrite pool pays its parent's footprint.  The
+package has no runtime dependencies: the non-LBR edge inference has
+its own min-cost-flow solver and the Figure 9 heat map is plain lists,
+so neither numpy nor networkx ever loads.  A build keeps no compiler
+IR.
 """
 
 import gc
@@ -19,18 +21,42 @@ from repro.workloads import make_workload
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def test_package_import_loads_neither_numpy_nor_networkx():
-    code = (
-        "import sys\n"
-        "import repro, repro.cli, repro.harness\n"
-        "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
-    )
+def _heavy_modules_after(code):
+    """numpy and networkx, if loaded after running ``code`` in a fresh
+    interpreter."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in ('numpy', 'networkx') "
+             "if m in sys.modules))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_loads_neither_numpy_nor_networkx():
+    assert _heavy_modules_after("import repro, repro.cli, repro.harness") == "[]"
+
+
+def test_nolbr_bolt_and_heatmap_load_neither_numpy_nor_networkx():
+    code = (
+        "from repro.harness import build_workload, fetch_heatmap, measure\n"
+        "from repro.harness import run_bolt, sample_profile\n"
+        "from repro.profiling import SamplingConfig\n"
+        "from repro.workloads import make_workload\n"
+        "built = build_workload(make_workload('mini'))\n"
+        "profile, _ = sample_profile(\n"
+        "    built, sampling=SamplingConfig(use_lbr=False))\n"
+        "result = run_bolt(built, profile)\n"
+        "assert not profile.lbr and result.degraded is None\n"
+        "assert any(sum(b.edge_counts.values())\n"
+        "           for f in result.context.functions.values()\n"
+        "           for b in f.blocks.values())\n"
+        "matrix = fetch_heatmap(measure(built, fetch_heat=True), grid=8)\n"
+        "assert max(map(max, matrix)) > 0\n"
+    )
+    assert _heavy_modules_after(code) == "[]"
 
 
 def test_build_keeps_no_ir(monkeypatch):

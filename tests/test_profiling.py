@@ -1,7 +1,9 @@
 """Profiling tests: sampler, aggregation, fdata format, MCF."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import build_executable, BuildOptions
 from repro.profiling import (
@@ -15,6 +17,9 @@ from repro.profiling import (
     parse_fdata,
     profile_binary,
     write_fdata,
+)
+from tests.oracles.mcf_networkx import (
+    min_cost_flow_edges as reference_min_cost_flow_edges,
 )
 
 LOOP_SRC = ("t", """
@@ -222,6 +227,53 @@ def test_mcf_zero_counts():
     edges = [("a", "b")]
     flows = min_cost_flow_edges(blocks, edges, {}, "a", ["b"])
     assert flows[("a", "b")] >= 0
+
+
+@st.composite
+def flow_problems(draw):
+    """A CFG-shaped flow problem: an optional fall-through chain plus
+    random arcs (duplicates and self-loops included), zero and missing
+    counts, and exits that may be the entry or unreachable from it."""
+    blocks = [f"b{i}" for i in range(draw(st.integers(1, 8)))]
+    block = st.sampled_from(blocks)
+    edges = draw(st.lists(st.tuples(block, block), max_size=3 * len(blocks)))
+    if draw(st.booleans()):
+        edges += list(zip(blocks, blocks[1:]))
+    counts = draw(st.dictionaries(block, st.integers(0, 60)))
+    exits = draw(st.lists(block, min_size=1, max_size=3))
+    return blocks, edges, counts, draw(block), exits
+
+
+def flow_cost(blocks, edges, counts, entry, exits, flows):
+    """The solver's objective for ``flows``, after checking that they
+    are non-negative integers conserved at every block."""
+    assert set(flows) == set(edges)
+    assert all(type(f) is int and f >= 0 for f in flows.values())
+    reached, stack = {entry}, [entry]
+    while stack:
+        src = stack.pop()
+        for dst in {d for s, d in edges if s == src} - reached:
+            reached.add(dst)
+            stack.append(dst)
+    units = max(counts.get(entry, 0), 1) if reached & set(exits) else 0
+    inflow, outflow = Counter({entry: units}), Counter()
+    for (src, dst), f in flows.items():
+        outflow[src] += f
+        inflow[dst] += f
+    for block in blocks:
+        assert outflow[block] <= inflow[block]
+        if block not in exits:
+            assert outflow[block] == inflow[block]
+    assert sum(inflow[b] - outflow[b] for b in blocks) == units
+    extra = sum(max(0, inflow[b] - counts.get(b, 0)) for b in blocks)
+    return sum(flows.values()) + 2 * extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=flow_problems())
+def test_prop_mcf_matches_networkx_cost(problem):
+    assert (flow_cost(*problem, min_cost_flow_edges(*problem))
+            == flow_cost(*problem, reference_min_cost_flow_edges(*problem)))
 
 
 # -- accuracy metric (section 2.2) ----------------------------------------------

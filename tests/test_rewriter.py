@@ -204,13 +204,6 @@ def test_line_table_updated(baseline):
     assert loc is not None and loc[0] == "app.bc"
 
 
-def test_line_table_dropped_when_disabled(baseline):
-    exe, cpu, profile = baseline
-    result = optimize_binary(
-        exe, profile, BoltOptions(update_debug_sections=False))
-    assert result.binary.line_table is None
-
-
 def test_rebolt_output_runs(baseline):
     """BOLT output (no relocations) can be re-BOLTed in-place."""
     exe, cpu, profile = baseline
@@ -359,7 +352,7 @@ def test_individual_pass_toggles(baseline):
     for flag in ("icf", "icp", "peepholes", "inline_small",
                  "simplify_ro_loads", "plt", "sctc", "frame_opts",
                  "shrink_wrapping", "strip_rep_ret", "strip_nops",
-                 "split_eh", "trust_fall_through"):
+                 "trust_fall_through"):
         result = optimize_binary(exe, profile,
                                  BoltOptions(**{flag: False}))
         assert run_binary(result.binary).output == cpu.output, flag

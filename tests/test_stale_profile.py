@@ -100,29 +100,6 @@ def test_stale_profile_does_not_regress_cycles(builds, variant):
     assert bolted.counters.cycles <= base.counters.cycles * 1.02
 
 
-def test_min_quality_threshold_strips_profile(builds):
-    options = BoltOptions(stale_min_quality=1.01)  # unreachable bar
-    result = optimize_binary(builds["far"].exe, builds["profile_a"], options)
-    assert result.context.stale_profile
-    assert any("profile ignored" in d.message
-               for d in result.diagnostics.warnings)
-    # Still produces a correct binary (layout-only, no profile guidance).
-    base = measure(builds["far"], max_instructions=MAX_INSNS)
-    cpu = run_binary(result.binary, inputs=builds["workload_far"].inputs,
-                     max_instructions=MAX_INSNS)
-    assert cpu.output == base.output
-
-
-def test_stale_matching_can_be_disabled(builds):
-    options = BoltOptions(stale_matching=False)
-    result = optimize_binary(builds["far"].exe, builds["profile_a"], options)
-    assert result.context.stale_profile
-    base = measure(builds["far"], max_instructions=MAX_INSNS)
-    cpu = run_binary(result.binary, inputs=builds["workload_far"].inputs,
-                     max_instructions=MAX_INSNS)
-    assert cpu.output == base.output
-
-
 def test_build_id_round_trips_through_fdata(builds, tmp_path):
     profile = builds["profile_a"]
     assert profile.build_id == builds["a"].exe.content_hash()
