@@ -4,14 +4,14 @@ rewrites large binaries in minutes, not hours.
 Two layers, both recorded into ``BENCH_pr3.json`` at the repo root:
 
 * **Kernel microbenchmarks** — the rewritten ordering kernels
-  (reverse-adjacency HFSort, incremental HFSort+, cached-edge ext-TSP),
-  the instruction-sharing pass snapshot, the per-opcode use/def table,
-  one-walk ICF keys, the summary-walk BL001/BL002/BL003 lint checkers,
-  and the cached line-table lookup, each against
-  its pre-PR reference implementation from
-  ``tests.oracles.reference_kernels`` — on inputs where both produce
-  identical outputs (the correctness side is pinned by
-  ``tests/test_hfsort.py``).
+  (reverse-adjacency HFSort, arc-driven incremental HFSort+,
+  cached-edge ext-TSP), the per-opcode use/def table, one-walk ICF
+  keys, ICF's shape prefilter, the one-walk shrink-wrapping scan, the
+  summary-walk BL001/BL002/BL003 lint checkers, and the cached
+  line-table lookup, each against its pre-PR reference implementation
+  from ``tests.oracles.reference_kernels`` — on inputs where both
+  produce identical outputs (the correctness side is pinned by
+  ``tests/test_hfsort.py`` and ``tests/test_kernel_equivalence.py``).
 * **End-to-end** — the full ``optimize_binary`` pipeline on the
   compiler workload, fast kernels vs the pre-PR kernels monkeypatched
   back in.  Acceptance: >= 2x faster.
@@ -39,17 +39,18 @@ from repro.belf import write_binary
 from repro.belf.linetable import LineTable
 from repro.core import BoltOptions, optimize_binary
 from tests.oracles.reference_kernels import (
+    attempt_deepcopy_reference,
     check_callee_saved_reference,
     check_flags_reference,
     check_stack_height_reference,
     ext_tsp_reference,
     hfsort_plus_reference,
     hfsort_reference,
+    icf_run_reference,
     insn_uses_defs_reference,
     linetable_lookup_reference,
     normalize_self_reference,
-    restore_function_deepcopy,
-    snapshot_function_deepcopy,
+    shrink_wrap_scan_reference,
 )
 from repro.core.hfsort import CallGraph, hfsort, hfsort_plus
 from repro.core.layout_algos import _ext_tsp
@@ -162,15 +163,14 @@ def test_kernel_microbenchmarks():
         assert entry["speedup"] > 1.0, name
 
 
-def test_snapshot_microbenchmark():
+def test_facts_microbenchmark():
     from repro.analysis import checkers
     from repro.core import BinaryContext
     from repro.core.cfg_builder import build_all_functions
     from repro.core.dataflow import insn_uses_defs
     from repro.core.discovery import discover_functions
-    from repro.core.passes.base import restore_function, snapshot_function
-    from repro.core.passes.icf import _function_key
-    from repro.core.reports import dump_function
+    from repro.core.passes.icf import _function_key, _shape_twins
+    from repro.core.passes.shrink_wrapping import _scan
 
     exe = build_workload(scaled("compiler"), label="O2").exe
     context = BinaryContext(exe, BoltOptions())
@@ -180,21 +180,6 @@ def test_snapshot_microbenchmark():
     insns = [insn for f in funcs for block in f.blocks.values()
              for insn in block.insns]
 
-    def fast():
-        return [snapshot_function(f) for f in funcs]
-
-    def slow():
-        return [snapshot_function_deepcopy(f) for f in funcs]
-
-    fast_snaps, t_new = _timed(fast, repeat=1)
-    slow_snaps, t_ref = _timed(slow, repeat=1)
-    sample = list(zip(funcs, fast_snaps, slow_snaps))[: 20]
-    for f, snap, ref in sample:
-        f.blocks.clear()
-        restore_function(f, snap)
-        assert dump_function(f) == dump_function(ref), f.name
-    speedup = t_ref / max(t_new, 1e-9)
-
     uses_defs, t_ud = _timed(lambda: [insn_uses_defs(i) for i in insns])
     uses_defs_ref, t_ud_ref = _timed(
         lambda: [insn_uses_defs_reference(i) for i in insns])
@@ -203,6 +188,27 @@ def test_snapshot_microbenchmark():
     keys_ref, t_key_ref = _timed(
         lambda: [normalize_self_reference(f) for f in funcs])
     assert keys == keys_ref
+
+    def folds(candidates):
+        """ICF's sweep without the folding: {folded: survivor}."""
+        by_key, out = {}, {}
+        for func in candidates:
+            survivor = by_key.setdefault(_function_key(func, func.name), func)
+            if survivor is not func:
+                out[func.name] = survivor.name
+        return out
+
+    folded, t_icf = _timed(lambda: folds(_shape_twins(funcs)))
+    folded_ref, t_icf_ref = _timed(lambda: folds(funcs))
+    assert folded == folded_ref and folded
+
+    saving = [f for f in funcs
+              if f.frame_record is not None and f.frame_record.saved_regs]
+    scans, t_sw = _timed(lambda: [_scan(f, f.frame_record) for f in saving])
+    scans_ref, t_sw_ref = _timed(
+        lambda: [shrink_wrap_scan_reference(f, f.frame_record)
+                 for f in saving])
+    assert scans == scans_ref and saving
 
     def summary_checkers(func):
         summary = checkers._summarize(func)
@@ -223,24 +229,24 @@ def test_snapshot_microbenchmark():
         lambda: [reference_checkers(f) for f in funcs])
     assert rendered(found) == rendered(found_ref)
 
-    rows = [("snapshot_function", t_ref, t_new),
-            ("insn_uses_defs", t_ud_ref, t_ud),
+    rows = [("insn_uses_defs", t_ud_ref, t_ud),
             ("icf_function_key", t_key_ref, t_key),
+            ("icf_shape_prefilter", t_icf_ref, t_icf),
+            ("shrink_wrap_scan", t_sw_ref, t_sw),
             ("dataflow_checkers", t_chk_ref, t_chk)]
-    print_table("Per-function snapshot and per-instruction facts "
-                "(one pipeline pass worth)",
+    print_table(f"Per-instruction facts and per-function scans "
+                f"(one pipeline pass worth, {len(funcs)} functions)",
                 ("kernel", "reference", "fast", "speedup"),
                 [(n, f"{r:.4f}s", f"{f:.4f}s", f"{r / max(f, 1e-9):.1f}x")
                  for (n, r, f) in rows])
-    _record("snapshot", {"reference_s": t_ref, "fast_s": t_new,
-                         "functions": len(funcs),
-                         "speedup": round(speedup, 2)})
     _record("facts", {
-        name: {"reference_s": r, "fast_s": f,
-               "speedup": round(r / max(f, 1e-9), 2)}
-        for name, r, f in rows[1:]})
-    assert speedup > 1.0
+        "functions": len(funcs),
+        **{name: {"reference_s": r, "fast_s": f,
+                  "speedup": round(r / max(f, 1e-9), 2)}
+           for name, r, f in rows}})
     assert t_chk < t_chk_ref
+    assert t_icf < t_icf_ref
+    assert t_sw < t_sw_ref
 
 
 def _synthetic_shards(n_shards, records_per_shard, seed=2024):
@@ -327,11 +333,15 @@ def test_end_to_end_processing_time(monkeypatch):
     # Put every pre-PR kernel back (at its call site) and measure again.
     import repro.core.passes.base as base
     import repro.core.passes.reorder_bbs as reorder_bbs
+    import repro.core.passes.shrink_wrapping as shrink_wrapping
+    from repro.core.passes.icf import IdenticalCodeFolding
     import repro.core.passes.reorder_functions as reorder_functions
     from tests.oracles.reference_kernels import order_blocks_reference
 
-    monkeypatch.setattr(base, "snapshot_function", snapshot_function_deepcopy)
-    monkeypatch.setattr(base, "restore_function", restore_function_deepcopy)
+    monkeypatch.setattr(base.BinaryPass, "_attempt",
+                        attempt_deepcopy_reference)
+    monkeypatch.setattr(shrink_wrapping, "_scan", shrink_wrap_scan_reference)
+    monkeypatch.setattr(IdenticalCodeFolding, "run", icf_run_reference)
     monkeypatch.setattr(reorder_functions, "hfsort", hfsort_reference)
     monkeypatch.setattr(reorder_functions, "hfsort_plus",
                         hfsort_plus_reference)

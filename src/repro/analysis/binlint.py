@@ -23,6 +23,9 @@ handed to tier 3's reconstruction, which still builds every CFG from
 those bytes.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from repro.analysis.checkers import check_function, check_structure
 from repro.analysis.rules import Finding, LintReport, parse_suppressions
 from repro.analysis.validation import validate_translation
@@ -143,26 +146,39 @@ def _lint_metadata(binary, report, decoded, kept=()):
         known.update(BUILTINS)
     except ImportError:  # pragma: no cover - linker always present
         pass
+    owner = _owner_index(syms)
     for reloc in binary.relocations:
         if reloc.symbol in known:
             continue
+        section = binary.get_section(reloc.section)
         report.add(Finding(
             "BL106",
             f"relocation at {reloc.section}+{reloc.offset:#x} names "
             f"undefined symbol {reloc.symbol!r}",
-            function=_owner_of(binary, reloc)))
+            function=(owner(section.addr + reloc.offset)
+                      if section is not None and section.is_exec
+                      else None)))
     return broken
 
 
-def _owner_of(binary, reloc):
-    section = binary.get_section(reloc.section)
-    if section is None or not section.is_exec:
+def _owner_index(syms):
+    """``owner(address)``: the link name of the first of ``syms`` (sorted
+    by ``(value, size)``) whose body holds ``address``, or None.
+
+    Two bisections instead of a scan: the first symbol reaching past
+    ``address`` in the running maximum of body ends is the first that
+    ends past it, and it holds ``address`` if it starts at or before.
+    """
+    starts = [sym.value for sym in syms]
+    reach = list(accumulate((sym.value + sym.size for sym in syms), max))
+
+    def owner(address):
+        i = bisect_right(reach, address)
+        if i < bisect_right(starts, address):
+            return syms[i].link_name()
         return None
-    address = section.addr + reloc.offset
-    for sym in _func_symbols(binary):
-        if sym.value <= address < sym.value + sym.size:
-            return sym.link_name()
-    return None
+
+    return owner
 
 
 def _lint_body(section, sym, name, report):

@@ -15,7 +15,8 @@ further.
 Complexity: ``CallGraph`` maintains a reverse-adjacency index so
 ``callers_of`` is a dictionary lookup instead of an all-arcs scan, and
 ``hfsort_plus`` keeps an incrementally-updated inter-cluster weight map
-instead of rescanning every arc per cluster pair per merge iteration.
+and, per merge iteration, visits only the cluster pairs an arc joins
+instead of every pair.
 Both orderings are asserted to be permutations of the input functions
 (``tests/test_hfsort.py`` checks them against the pre-PR reference
 implementations in :mod:`tests.oracles.reference_kernels`).
@@ -158,26 +159,28 @@ def hfsort_plus(graph, merge_cap=4096 * 8, page_size=4096):
     gain = (arc weight between clusters) / (pages spanned by merge).
 
     The inter-cluster arc weights are computed once from the arc list
-    and folded together as clusters merge, so each merge iteration
-    costs O(live cluster pairs) dictionary lookups instead of
-    O(pairs x arcs) rescans.
+    and folded together as clusters merge, and each merge iteration
+    visits only the cluster pairs an arc joins: O(arcs log arcs) per
+    merge, where scanning every cluster pair cost O(clusters^2) and
+    rescanning the arcs per pair O(clusters^2 x arcs).
     """
     base_order = hfsort(graph, merge_cap)
     # Rebuild cluster list from the hfsort result (hot clusters only).
+    # Ids count up in list order, and merging keeps the survivor's id
+    # and drops the other's, so ``clusters`` iterates in list-position
+    # order and a later position is always a larger id.
     hot = {f for f, w in graph.weights.items() if w > 0}
     clusters = {}       # stable id -> _Cluster
     cluster_of = {}     # func -> stable id
-    order = []          # stable ids in list position order (= old list)
     for func in base_order:
         if func not in hot:
             continue
-        cid = len(order)
+        cid = len(clusters)
         clusters[cid] = _Cluster(func, graph.sizes[func], graph.weights[func])
         cluster_of[func] = cid
-        order.append(cid)
 
     # Inter-cluster weights, both directions folded: {a: {b: weight}}.
-    inter = {cid: {} for cid in order}
+    inter = {cid: {} for cid in clusters}
     for (a, b), w in graph.arcs.items():
         ca, cb = cluster_of.get(a), cluster_of.get(b)
         if ca is None or cb is None or ca == cb:
@@ -186,19 +189,14 @@ def hfsort_plus(graph, merge_cap=4096 * 8, page_size=4096):
         inter[cb][ca] = inter[cb].get(ca, 0) + w
 
     improved = True
-    while improved and len(order) > 1:
+    while improved and len(clusters) > 1:
         improved = False
         best = None
-        # Pair enumeration in list-position order, exactly like the
-        # reference's nested index loops — only the weight lookup is O(1).
-        for i in range(len(order)):
-            a = order[i]
-            neighbors = inter[a]
-            ca = clusters[a]
-            for j in range(i + 1, len(order)):
-                b = order[j]
-                weight = neighbors.get(b, 0)
-                if weight == 0:
+        # Pairs in list-position order, exactly like the reference's
+        # nested index loops, but only the pairs an arc joins.
+        for a, ca in clusters.items():
+            for b, weight in sorted(inter[a].items()):
+                if b < a or weight == 0:
                     continue
                 merged_size = ca.size + clusters[b].size
                 if merged_size > merge_cap * 2:
@@ -206,13 +204,10 @@ def hfsort_plus(graph, merge_cap=4096 * 8, page_size=4096):
                 pages = max(1, (merged_size + page_size - 1) // page_size)
                 gain = weight / pages
                 if best is None or gain > best[0]:
-                    best = (gain, i, j)
+                    best = (gain, a, b)
         if best is not None:
-            _, i, j = best
-            a, b = order[i], order[j]
-            clusters[a].merge(clusters[b])
-            del clusters[b]
-            order.pop(j)
+            _, a, b = best
+            clusters[a].merge(clusters.pop(b))
             # Fold b's adjacency into a's; the (a, b) pair goes away.
             for n, w in inter.pop(b).items():
                 if n == a:

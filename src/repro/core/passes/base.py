@@ -1,22 +1,22 @@
 """Pass framework + the Table 1 pipeline order.
 
 Error containment (paper section 3.1 spirit): a pass crashing on one
-function must never take down the whole rewrite.  ``BinaryPass.run``
-snapshots each function's CFG before transforming it; if the pass
-raises, the snapshot is restored and the function is demoted to
-non-simple — original bytes emitted verbatim, exactly like functions
-BOLT conservatively skips at CFG-construction time — and a structured
-diagnostic is recorded.  Whole-context passes (ICF, inlining, function
-reordering) are contained at pass granularity instead.
+function must never take down the whole rewrite.  If a per-function
+pass raises, ``BinaryPass._attempt`` demotes the function to
+non-simple through ``demote_to_raw`` — original bytes emitted verbatim,
+exactly like functions BOLT conservatively skips at CFG-construction
+time — and records a structured diagnostic.  Whole-context passes
+(ICF, inlining, function reordering) are contained at pass granularity
+instead.
 
-Instructions are values to a pass: it replaces them
-(``block.insns[i] = insn.replace(...)``) and never mutates one in
-place.  A snapshot therefore shares the instruction objects and saves
-only what a pass may change in place: the block dict, each block's
-instruction list, edge dicts and scalars, the jump tables' state, the
-frame record and the analysis facts.  The pre-value-semantics ``copy.deepcopy`` snapshot is kept in
-:mod:`tests.oracles.reference_kernels` for the processing-time
-benchmarks.
+No snapshot is taken before a pass runs.  ``demote_to_raw`` resets
+every field a per-function pass may change (blocks, jump tables,
+analysis facts, frame record, entry label, cold-fragment flag) and
+rebuilds the function from its input bytes, so whatever half-done
+state the pass left behind is discarded; no ``run_on_function`` pass
+assigns a function's scalar fields.  The ``copy.deepcopy`` snapshot
+the pipeline once took is kept in :mod:`tests.oracles.reference_kernels`
+for the processing-time benchmarks.
 
 A pass that corrupts a CFG *without* raising is caught after the
 pipeline instead: the rewriter's default-on lint gate
@@ -26,80 +26,7 @@ every still-simple function and demotes violators through the same
 ``demote_to_raw``.
 """
 
-import copy
 import time
-
-
-class _Fields:
-    """The attributes of one kind of CFG object that a pass may change.
-
-    ``copied`` are containers, saved and restored as shallow copies
-    (the instructions inside are shared); ``kept`` are values, saved by
-    reference.  A saved state is one flat tuple rather than a copy of
-    the object's ``__dict__``: per-block dict copies went to the system
-    allocator and left ``collect``'s resident set about 5 MB higher
-    after set-up's BOLT jobs.
-    """
-
-    def __init__(self, copied, kept):
-        self.copied = copied
-        self.kept = kept
-
-    def save(self, obj):
-        return (obj, *[getattr(obj, name).copy() for name in self.copied],
-                *[getattr(obj, name) for name in self.kept])
-
-    def restore(self, state):
-        obj = state[0]
-        ncopied = len(self.copied)
-        for name, value in zip(self.copied, state[1:]):
-            setattr(obj, name, value.copy())
-        for name, value in zip(self.kept, state[1 + ncopied:]):
-            setattr(obj, name, value)
-
-
-_FUNCTION = _Fields(
-    ("blocks", "jump_tables"),
-    ("name", "address", "size", "section", "is_simple", "simple_violation",
-     "entry_label", "raw_bytes", "exec_count", "profile_match",
-     "has_profile", "is_folded", "folded_into", "is_cold_fragment",
-     "parent"))
-_BLOCK = _Fields(
-    ("insns", "successors", "edge_counts", "edge_mispreds", "landing_pads"),
-    ("label", "offset", "fallthrough_label", "exec_count", "is_landing_pad",
-     "is_cold", "alignment"))
-_TABLE = _Fields(("entries",), ("address", "size", "section"))
-
-
-def snapshot_function(func):
-    """A restorable snapshot of a function's mutable CFG state.
-
-    Shares the (never mutated) instructions; see the module docstring.
-    """
-    record = func.frame_record
-    return (_FUNCTION.save(func),
-            [_BLOCK.save(block) for block in func.blocks.values()],
-            [_TABLE.save(table) for table in func.jump_tables],
-            record.copy() if record is not None else None,
-            copy.deepcopy(func.analysis_facts) if func.analysis_facts else {})
-
-
-def restore_function(func, snapshot):
-    """Restore a function to a previously-taken snapshot, in place.
-
-    Block and jump-table objects are restored in place too, so the
-    ``jump_table`` fields of the shared instructions stay valid.
-    The snapshot itself is left intact.
-    """
-    state, blocks, tables, record, facts = snapshot
-    _FUNCTION.restore(state)
-    for block_state in blocks:
-        _BLOCK.restore(block_state)
-    for table_state in tables:
-        _TABLE.restore(table_state)
-    func.frame_record = record.copy() if record is not None else None
-    func.analysis_facts = copy.deepcopy(facts)
-    return func
 
 
 def contain_function_failure(context, func, component, exc):
@@ -135,24 +62,20 @@ class BinaryPass:
         self.prepare(context)
         for func in funcs:
             # Containment for function k happens before k+1 runs.
-            result, exc = self._attempt(context, func)
-            if exc is not None:
-                contain_function_failure(
-                    context, func, f"pass:{self.name}", exc)
-                continue
+            result = self._attempt(context, func)
             if result:
                 for key, value in result.items():
                     stats[key] = stats.get(key, 0) + value
         return stats
 
     def _attempt(self, context, func):
-        """Run on one function with snapshot/restore containment."""
-        snapshot = snapshot_function(func)
+        """Run on one function; a failure demotes it, with no snapshot
+        to restore (see the module docstring), and returns None."""
         try:
-            return self.run_on_function(context, func), None
+            return self.run_on_function(context, func)
         except Exception as exc:
-            restore_function(func, snapshot)
-            return None, exc
+            contain_function_failure(context, func, f"pass:{self.name}", exc)
+            return None
 
     def run_on_function(self, context, func):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -166,10 +89,13 @@ class PassManager:
     def run(self, context):
         timing = getattr(context, "timing", None)
         time_passes = timing is not None and timing.time_passes
-        dyno_prev = None
         if time_passes:
+            # The per-pass dyno-stats walks are their own phase, not
+            # pass time: see ``TimingReport.record_phase``.
             from repro.core.dyno_stats import compute_dyno_stats
+            started = time.perf_counter()
             dyno_prev = compute_dyno_stats(context)
+            dyno_seconds = time.perf_counter() - started
         for pass_ in self.passes:
             started = time.perf_counter() if time_passes else None
             functions = len(context.simple_functions()) if time_passes else None
@@ -187,15 +113,15 @@ class PassManager:
                     f"pass failed ({type(exc).__name__}: {exc}); skipped")
                 self.stats[pass_.name] = {}
             if time_passes:
-                elapsed = time.perf_counter() - started
-                delta = None
-                if dyno_prev is not None:
-                    from repro.core.dyno_stats import compute_dyno_stats
-                    dyno_now = compute_dyno_stats(context)
-                    delta = dyno_now.delta_vs(dyno_prev)
-                    dyno_prev = dyno_now
-                timing.record_pass(pass_.name, elapsed,
-                                   functions=functions, dyno_delta=delta)
+                ended = time.perf_counter()
+                dyno_now = compute_dyno_stats(context)
+                dyno_seconds += time.perf_counter() - ended
+                timing.record_pass(pass_.name, ended - started,
+                                   functions=functions,
+                                   dyno_delta=dyno_now.delta_vs(dyno_prev))
+                dyno_prev = dyno_now
+        if time_passes and timing.time_phases:
+            timing.record_phase("dyno-stats (per pass)", dyno_seconds)
         return self.stats
 
 

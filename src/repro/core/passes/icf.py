@@ -85,6 +85,24 @@ def _function_key(func, self_name):
     return (tuple(blocks), tables, frame)
 
 
+def _shape(func):
+    """What every key of ``func`` fixes: its block sizes and table count."""
+    return (tuple(len(block.insns) for block in func.blocks.values()),
+            len(func.jump_tables))
+
+
+def _shape_twins(funcs):
+    """The functions of ``funcs`` that share their shape with another,
+    in ``funcs`` order: equal keys imply equal shapes, so no other
+    function can fold or be folded into."""
+    by_shape, buckets = {}, []
+    for func in funcs:
+        bucket = by_shape.setdefault(_shape(func), [])
+        bucket.append(func)
+        buckets.append(bucket)
+    return [func for func, bucket in zip(funcs, buckets) if len(bucket) > 1]
+
+
 class IdenticalCodeFolding(BinaryPass):
     def __init__(self, round=1):
         self.round = round
@@ -95,7 +113,7 @@ class IdenticalCodeFolding(BinaryPass):
         folded = 0
         saved_bytes = 0
         by_key = {}
-        for func in context.simple_functions():
+        for func in _shape_twins(context.simple_functions()):
             key = _function_key(func, func.name)
             survivor = by_key.get(key)
             if survivor is None:

@@ -18,6 +18,52 @@ from repro.core.dataflow import dominators, insn_uses_defs, reachable_from
 from repro.core.passes.base import BinaryPass
 
 
+#: The ops that can be a save or a restore of a callee-saved register.
+_SLOT_OPS = frozenset({Op.STORE, Op.LOAD})
+
+
+def _scan(func, record):
+    """One walk over ``func`` for the callee-saved registers of
+    ``record``: ``(call_blocks, reg_blocks, save_insns, restore_insns)``,
+    the blocks with a call, the blocks touching each register other
+    than through its save or restores, each register's prologue save
+    and its restores as ``(label, insn)`` in walk order.
+
+    Uses and defs are computed once per instruction; only a store or a
+    load can be a save or a restore, so only those are matched against
+    each register's slot.
+    """
+    call_blocks = set()
+    reg_blocks = {reg: set() for reg, _ in record.saved_regs}
+    save_insns = {}
+    restore_insns = {reg: [] for reg, _ in record.saved_regs}
+    offsets = {reg: offset for reg, offset in record.saved_regs}
+    saved = reg_blocks.keys()
+    for label, block in func.blocks.items():
+        for insn in block.insns:
+            if insn.is_call:
+                call_blocks.add(label)
+            uses, defs = insn_uses_defs(insn)
+            if insn.op not in _SLOT_OPS:
+                for reg in saved & (uses | defs):
+                    reg_blocks[reg].add(label)
+                continue
+            for reg in saved:
+                offset = offsets[reg]
+                if (insn.op == Op.STORE and insn.regs == (RBP, reg)
+                        and insn.disp == -offset and label == func.entry_label
+                        and reg not in save_insns):
+                    save_insns[reg] = insn
+                    continue
+                if (insn.op == Op.LOAD and insn.regs == (reg, RBP)
+                        and insn.disp == -offset):
+                    restore_insns[reg].append((label, insn))
+                    continue
+                if reg in uses or reg in defs:
+                    reg_blocks[reg].add(label)
+    return call_blocks, reg_blocks, save_insns, restore_insns
+
+
 class ShrinkWrapping(BinaryPass):
     name = "shrink-wrapping"
 
@@ -30,30 +76,8 @@ class ShrinkWrapping(BinaryPass):
             return {}
 
         dom = dominators(func)
-        call_blocks = set()
-        reg_blocks = {reg: set() for reg, _ in record.saved_regs}
-        save_insns = {}
-        restore_insns = {reg: [] for reg, _ in record.saved_regs}
-        offsets = {reg: offset for reg, offset in record.saved_regs}
-
-        for label, block in func.blocks.items():
-            for insn in block.insns:
-                if insn.is_call:
-                    call_blocks.add(label)
-                for reg in reg_blocks:
-                    offset = offsets[reg]
-                    if (insn.op == Op.STORE and insn.regs == (RBP, reg)
-                            and insn.disp == -offset and label == func.entry_label
-                            and reg not in save_insns):
-                        save_insns[reg] = insn
-                        continue
-                    if (insn.op == Op.LOAD and insn.regs == (reg, RBP)
-                            and insn.disp == -offset):
-                        restore_insns[reg].append((label, insn))
-                        continue
-                    uses, defs = insn_uses_defs(insn)
-                    if reg in uses or reg in defs:
-                        reg_blocks[reg].add(label)
+        call_blocks, reg_blocks, save_insns, restore_insns = _scan(
+            func, record)
 
         moved = 0
         removed = 0

@@ -47,6 +47,7 @@ class TimingReport:
         self.passes = []                    # [PassTiming]
         self.phases = []                    # [PassTiming]
         self.total_seconds = None
+        self._open = []                     # running _PhaseTimers
 
     # -- recording ---------------------------------------------------------
 
@@ -54,6 +55,10 @@ class TimingReport:
         self.passes.append(PassTiming(name, seconds, functions, dyno_delta))
 
     def record_phase(self, name, seconds):
+        """Record a phase; one recorded while a phase timer runs is
+        carved out of that timer's phase, so the two do not overlap."""
+        if self._open:
+            self._open[-1].nested += seconds
         self.phases.append(PassTiming(name, seconds))
 
     def phase(self, name):
@@ -80,21 +85,25 @@ class TimingReport:
 
 
 class _PhaseTimer:
-    __slots__ = ("report", "name", "_start")
+    __slots__ = ("report", "name", "nested", "_start")
 
     def __init__(self, report, name):
         self.report = report
         self.name = name
+        self.nested = 0.0       # seconds of phases recorded inside this one
         self._start = None
 
     def __enter__(self):
+        self.report._open.append(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.report.time_phases:
-            self.report.record_phase(
-                self.name, time.perf_counter() - self._start)
+        elapsed = time.perf_counter() - self._start
+        report = self.report
+        report._open.pop()
+        if report.time_phases:
+            report.record_phase(self.name, elapsed - self.nested)
         return False
 
 

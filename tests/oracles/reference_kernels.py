@@ -1,20 +1,23 @@
-"""Pre-PR reference implementations of the hot ordering kernels.
+"""Pre-PR reference implementations of the hot pipeline kernels.
 
 These are byte-for-byte the algorithms the pipeline shipped with before
 the performance layer landed: the quadratic ``callers_of`` arc scan
 behind HFSort, the cubic ``arc_weight`` rescans of HFSort+, the
 full-edge-set ``cross_weight``/``chain_score`` recomputation inside
 ext-TSP's O(chains^2) merge loop, the ``copy.deepcopy``-based
-per-function snapshot, the rebuild-the-key-list-per-query line table
-lookup, and the per-instruction BL001/BL002/BL003 lint checkers
-that solved once per saved register.
+per-function snapshot (and the ``_attempt`` that took it before every
+pass), the rebuild-the-key-list-per-query line table lookup, the
+shrink-wrapping scan that rebuilt use/def sets per saved register,
+the ICF sweep that keyed every function, and the per-instruction
+BL001/BL002/BL003 lint checkers that solved once per saved register.
 
 They are kept for two reasons:
 
 * **Equivalence oracle** — the rewritten fast kernels must produce
   *identical* results; ``tests/test_hfsort.py`` checks the orders on
   randomized graphs (hypothesis), ``tests/test_value_semantics.py`` the
-  per-opcode tables, snapshots and ICF keys, and
+  per-opcode tables and ICF keys, ``tests/test_kernel_equivalence.py``
+  the shrink-wrapping scan and ICF folds on every preset, and
   ``tests/test_analysis_summaries.py`` the BL001/BL002/BL003 checkers.
 * **Benchmark baseline** — ``benchmarks/test_processing_time.py``
   measures the fast kernels (and the end-to-end pipeline) against
@@ -36,8 +39,15 @@ from repro.analysis.absint import (
 )
 from repro.analysis.checkers import _is_cold_fragment, _is_tail_call
 from repro.analysis.rules import Finding
-from repro.core.dataflow import FLAGS, UnmodeledOpcodeError, defines
+from repro.core.dataflow import (
+    FLAGS,
+    UnmodeledOpcodeError,
+    defines,
+    insn_uses_defs,
+)
 from repro.core.hfsort import _Cluster
+from repro.core.passes.base import contain_function_failure
+from repro.core.passes.icf import _function_key
 from repro.isa import RAX, RBP, RSP
 from repro.isa.opcodes import Op, OPERAND_FORMATS, _ATOM_SIZES
 from repro.isa.registers import ARG_REGS, CALLER_SAVED
@@ -256,7 +266,7 @@ def ext_tsp_reference(func, labels):
 
 
 # ---------------------------------------------------------------------------
-# Pass-manager snapshot + line-table lookup (pre-PR)
+# Pass-containment snapshot + line-table lookup (pre-PR)
 # ---------------------------------------------------------------------------
 
 
@@ -269,6 +279,19 @@ def restore_function_deepcopy(func, snapshot):
     """Restore from :func:`snapshot_function_deepcopy`, in place."""
     func.__dict__.update(copy.deepcopy(snapshot).__dict__)
     return func
+
+
+def attempt_deepcopy_reference(self, context, func):
+    """``BinaryPass._attempt`` with the snapshot it once took: deep-copy
+    the function, run the pass, and on a failure restore the copy
+    before demoting (which rebuilds the function from its bytes)."""
+    snapshot = snapshot_function_deepcopy(func)
+    try:
+        return self.run_on_function(context, func)
+    except Exception as exc:
+        restore_function_deepcopy(func, snapshot)
+        contain_function_failure(context, func, f"pass:{self.name}", exc)
+        return None
 
 
 def linetable_lookup_reference(table, addr):
@@ -436,6 +459,73 @@ def normalize_self_reference(func):
         return item
 
     return swap(key)
+
+
+# ---------------------------------------------------------------------------
+# Shrink-wrapping scan (use/def sets rebuilt per saved register)
+# ---------------------------------------------------------------------------
+
+
+def shrink_wrap_scan_reference(func, record):
+    """The scan of ``shrink_wrapping._scan``, one ``insn_uses_defs``
+    call per (instruction, saved register) pair."""
+    call_blocks = set()
+    reg_blocks = {reg: set() for reg, _ in record.saved_regs}
+    save_insns = {}
+    restore_insns = {reg: [] for reg, _ in record.saved_regs}
+    offsets = {reg: offset for reg, offset in record.saved_regs}
+
+    for label, block in func.blocks.items():
+        for insn in block.insns:
+            if insn.is_call:
+                call_blocks.add(label)
+            for reg in reg_blocks:
+                offset = offsets[reg]
+                if (insn.op == Op.STORE and insn.regs == (RBP, reg)
+                        and insn.disp == -offset and label == func.entry_label
+                        and reg not in save_insns):
+                    save_insns[reg] = insn
+                    continue
+                if (insn.op == Op.LOAD and insn.regs == (reg, RBP)
+                        and insn.disp == -offset):
+                    restore_insns[reg].append((label, insn))
+                    continue
+                uses, defs = insn_uses_defs(insn)
+                if reg in uses or reg in defs:
+                    reg_blocks[reg].add(label)
+    return call_blocks, reg_blocks, save_insns, restore_insns
+
+
+# ---------------------------------------------------------------------------
+# ICF sweep (every function keyed)
+# ---------------------------------------------------------------------------
+
+
+def icf_run_reference(self, context):
+    """``IdenticalCodeFolding.run`` keying every function, not only
+    those that share their shape with another."""
+    folded = 0
+    saved_bytes = 0
+    by_key = {}
+    for func in context.simple_functions():
+        key = _function_key(func, func.name)
+        survivor = by_key.get(key)
+        if survivor is None:
+            by_key[key] = func
+            continue
+        func.is_folded = True
+        func.folded_into = survivor
+        survivor.exec_count += func.exec_count
+        for label, block in func.blocks.items():
+            twin = survivor.blocks.get(label)
+            if twin is not None:
+                twin.exec_count += block.exec_count
+                for succ, count in block.edge_counts.items():
+                    twin.edge_counts[succ] = (
+                        twin.edge_counts.get(succ, 0) + count)
+        folded += 1
+        saved_bytes += func.size
+    return {"folded": folded, "saved_bytes": saved_bytes}
 
 
 # ---------------------------------------------------------------------------

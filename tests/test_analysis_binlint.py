@@ -13,11 +13,12 @@ import pytest
 
 from repro.analysis import lint_binary, validate_translation
 from repro.analysis.rules import RULES, parse_suppressions
-from repro.belf import write_binary
+from repro.belf import RelocType, write_binary
+from repro.belf.relocation import Relocation
 from repro.cli import main
 from repro.compiler import build_executable
 from repro.core import BoltOptions, optimize_binary
-from repro.faults import BINARY_FAULTS, inject_binary_fault
+from repro.faults import BINARY_FAULTS, clone_binary, inject_binary_fault
 from repro.isa import Op
 from repro.isa.decoding import decode_stream
 from repro.profiling import profile_binary
@@ -129,6 +130,36 @@ def test_structural_tier_misses_bogus_reloc(rig):
     static = optimize_binary(bad, rig["profile"],
                              BoltOptions(validate_output="static"))
     assert static.degraded == "passthrough"
+
+
+def test_dangling_relocations_name_their_owner(rig):
+    """Each BL106 finding names the function whose body holds the
+    relocation: a function's first and last byte name it, padding
+    between functions and a data section name none."""
+    bad = clone_binary(rig["exe"])
+    funcs = sorted((s for s in bad.functions() if s.size > 0),
+                   key=lambda s: (s.value, s.size))
+    places = []
+    for prev, sym in zip([None] + funcs, funcs):
+        if prev is not None and prev.value + prev.size < sym.value:
+            places.append((prev.value + prev.size, None))
+        places.append((sym.value, sym.link_name()))
+        places.append((sym.value + sym.size - 1, sym.link_name()))
+    assert any(owner is None for _, owner in places)
+    expected = {}
+    for address, owner in places:
+        section = bad.section_at(address)
+        name = f"missing_{len(expected)}"
+        bad.relocations.append(Relocation(
+            section.name, address - section.addr, RelocType.ABS64, name))
+        expected[name] = owner
+    data = next(s for s in bad.sections.values() if not s.is_exec)
+    bad.relocations.append(Relocation(data.name, 0, RelocType.ABS64,
+                                      "missing_data"))
+    expected["missing_data"] = None
+    found = {f.message.split("'")[1]: f.function
+             for f in lint_binary(bad).findings if f.rule == "BL106"}
+    assert found == expected
 
 
 # ---------------------------------------------------------------------------

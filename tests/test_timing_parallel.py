@@ -1,6 +1,6 @@
-"""The PR-3 performance layer: pass/phase timing, per-function pass
-failure containment, the instruction-sharing pass snapshot, and the
-diagnostics routing of formerly-silent failure paths."""
+"""The rewrite's performance layer: pass/phase timing, per-function pass
+failure containment, and the diagnostics routing of formerly-silent
+failure paths."""
 
 import json
 
@@ -8,19 +8,11 @@ import pytest
 
 from repro.compiler import BuildOptions, build_executable
 from repro.core import BinaryContext, BoltOptions, optimize_binary
-from tests.oracles.reference_kernels import (
-    linetable_lookup_reference,
-    snapshot_function_deepcopy,
-)
+from tests.oracles.reference_kernels import linetable_lookup_reference
 from repro.core.cfg_builder import build_all_functions
 from repro.core.discovery import discover_functions
-from repro.core.passes.base import (
-    BinaryPass,
-    PassManager,
-    restore_function,
-    snapshot_function,
-)
-from repro.core.reports import dump_function, format_timing_table
+from repro.core.passes.base import BinaryPass, PassManager
+from repro.core.reports import format_timing_table
 from repro.core.validate import validate_execution
 from repro.ir import InlinePolicy
 from repro.profiling import SamplingConfig, profile_binary
@@ -102,6 +94,29 @@ def test_time_rewrite_records_phases_and_total(baseline):
     assert not timing.passes  # -time-opts not requested
 
 
+def test_per_pass_dyno_walks_are_their_own_phase(baseline):
+    """Under ``time_opts`` the whole-binary dyno-stats walk after each
+    pass is timed as one phase, carved out of the passes phase: phases
+    never overlap, and the passes phase holds every pass timer."""
+    exe, _, profile = baseline
+    result = optimize_binary(
+        exe, profile, BoltOptions(time_opts=True, time_rewrite=True))
+    timing = result.timing
+    phases = {p.name: p.seconds for p in timing.phases}
+    assert [p.name for p in timing.phases].count("dyno-stats (per pass)") == 1
+    assert phases["dyno-stats (per pass)"] > 0
+    # The validate gate runs after the job's wall clock stops.
+    assert sum(phases.values()) - phases["validate gate"] \
+        <= timing.total_seconds
+    assert phases["optimization passes"] >= sum(
+        p.seconds for p in timing.passes)
+    assert all(p.dyno_delta is not None for p in timing.passes)
+    # Without time_opts there is no per-pass walk to time.
+    result = optimize_binary(exe, profile, BoltOptions(time_rewrite=True))
+    assert "dyno-stats (per pass)" not in [p.name
+                                           for p in result.timing.phases]
+
+
 def test_timing_json_round_trips(baseline):
     exe, _, profile = baseline
     result = optimize_binary(
@@ -140,7 +155,7 @@ def test_pass_failure_contained(baseline):
     stats = PassManager([_ExplodingPass()]).run(context)
     spin = context.functions["spin"]
     assert not spin.is_simple  # demoted, not lost
-    assert spin.blocks  # snapshot restored before demotion
+    assert spin.blocks  # rebuilt from its input bytes
     assert spin.entry_label in spin.blocks
     after = sorted(f.name for f in context.simple_functions())
     assert after == [name for name in before if name != "spin"]
@@ -151,67 +166,6 @@ def test_pass_failure_contained(baseline):
     assert len(contained) == 1
     assert "contained RuntimeError: boom" in contained[0]
     assert "spin" in contained[0]
-
-
-# -- pass snapshot (snapshot_function / restore_function) ---------------------
-
-
-def test_snapshot_restore_matches_deepcopy_snapshot(baseline):
-    exe, _, _ = baseline
-    context = _context(exe)
-    for func in context.simple_functions():
-        snap, slow = snapshot_function(func), snapshot_function_deepcopy(func)
-        func.blocks.clear()
-        func.jump_tables.clear()
-        restore_function(func, snap)
-        assert dump_function(func) == dump_function(slow)
-        assert func.analysis_facts == slow.analysis_facts
-        assert func.raw_bytes == slow.raw_bytes
-
-
-def test_snapshot_isolates_mutations(baseline):
-    exe, _, _ = baseline
-    context = _context(exe)
-    func = context.functions["work"]
-    snap = snapshot_function(func)
-    block = next(iter(func.blocks.values()))
-    before, count = len(block.insns), block.exec_count
-    block.insns.append(block.insns[0].copy())
-    block.exec_count += 99
-    func.analysis_facts.setdefault("x", []).append(1)
-    restore_function(func, snap)
-    assert func.blocks[block.label] is block
-    assert (len(block.insns), block.exec_count) == (before, count)
-    assert "x" not in func.analysis_facts
-    # The snapshot survives its own restore.
-    block.insns.pop()
-    block.exec_count += 99
-    restore_function(func, snap)
-    assert (len(block.insns), block.exec_count) == (before, count)
-
-
-def test_restore_preserves_jump_table_identity(baseline):
-    exe, _, _ = baseline
-    context = _context(exe)
-    func = next(f for f in context.functions.values() if f.jump_tables)
-    tables = list(func.jump_tables)
-    entries = [list(t.entries) for t in tables]
-    snap = snapshot_function(func)
-    for table in tables:
-        table.entries.reverse()
-    func.jump_tables = []
-    restore_function(func, snap)
-    annotated = [insn.jump_table
-                 for block in func.blocks.values()
-                 for insn in block.insns
-                 if insn.jump_table is not None]
-    assert annotated
-    # Tables are restored in place: the shared instructions' jump_table
-    # fields still point at the function's own table objects.
-    assert all(a is b for a, b in zip(func.jump_tables, tables))
-    assert [t.entries for t in func.jump_tables] == entries
-    for table in annotated:
-        assert any(table is t for t in func.jump_tables)
 
 
 # -- satellite fixes ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Instruction value semantics on the rewrite's hot path: the per-opcode
 size and use/def tables against the pre-table reference kernels, the
 allocation-free ``defines`` query, one-walk ICF keys, passes that never
-mutate an instruction in place, and the snapshots that rely on it."""
+mutate an instruction in place, and pass-failure containment."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,6 @@ from tests.oracles.reference_kernels import (
     format_size_reference,
     insn_uses_defs_reference,
     normalize_self_reference,
-    snapshot_function_deepcopy,
 )
 from repro.core.cfg_builder import build_all_functions
 from repro.core.dataflow import (
@@ -24,14 +23,14 @@ from repro.core.dataflow import (
 )
 from repro.core.discovery import discover_functions
 from repro.core.emitter import emit_function
-from repro.core.passes.base import BinaryPass, build_pipeline
+from repro.core.passes.base import BinaryPass, PassManager, build_pipeline
 from repro.core.passes.icf import _function_key
 from repro.core.profile_attach import attach_profile
-from repro.core.reports import dump_function
 from repro.harness import build_workload, sample_profile
 from repro.ir import InlinePolicy
 from repro.isa import Instruction, Op
 from repro.isa.opcodes import FORMAT_SIZES, OPERAND_FORMATS, format_size
+from repro.uarch import run_binary
 from repro.workloads import make_workload
 
 _MODELED = [op for op in Op if op != Op.PREFIX_0F]
@@ -270,11 +269,14 @@ def _emitted_label_branches(result):
 
 
 class _ReplaceThenRaise(BinaryPass):
-    """Replaces instructions, edits blocks and a jump table, then raises."""
+    """On ``pick``: replaces instructions, edits blocks and a jump table,
+    then raises."""
 
     name = "replace-then-raise"
 
     def run_on_function(self, context, func):
+        if func.name != "pick":
+            return {}
         for block in func.blocks.values():
             for i, insn in enumerate(block.insns):
                 block.insns[i] = insn.replace(loc=("touched", 0))
@@ -291,26 +293,29 @@ class _ReplaceThenRaise(BinaryPass):
         raise RuntimeError("boom")
 
 
-def test_containment_restores_the_deepcopy_state(recursive):
-    context = _context(recursive)
-    func = context.functions["pick"]
-    assert func.jump_tables
-    expected = snapshot_function_deepcopy(func)
-    tables = list(func.jump_tables)
+def _body(binary, name):
+    sym = next(s for s in binary.symbols
+               if s.link_name() == name and s.size)
+    section = binary.section_at(sym.value)
+    start = sym.value - section.addr
+    return bytes(section.data[start:start + sym.size])
 
-    result, exc = _ReplaceThenRaise()._attempt(context, func)
-    assert result is None and isinstance(exc, RuntimeError)
-    assert dump_function(func) == dump_function(expected)
-    assert not any(insn.loc == ("touched", 0)
-                   for block in func.blocks.values() for insn in block.insns)
-    assert func.analysis_facts == expected.analysis_facts
-    assert [t.entries for t in func.jump_tables] == \
-        [t.entries for t in expected.jump_tables]
-    # Tables are restored in place: jump_table fields still point at
-    # the function's own table objects.
-    assert all(a is b for a, b in zip(func.jump_tables, tables))
-    annotated = [insn.jump_table
-                 for block in func.blocks.values() for insn in block.insns
-                 if insn.jump_table is not None]
-    assert annotated
-    assert all(any(t is own for own in func.jump_tables) for t in annotated)
+
+def test_containment_ships_the_failed_function_verbatim(recursive,
+                                                         monkeypatch):
+    """A pass that corrupts ``pick`` (blocks, tables, facts) and then
+    raises leaves it non-simple with one diagnostic, and the job emits
+    its input bytes: no snapshot is needed to undo the corruption."""
+    build = rewriter.build_pipeline
+    monkeypatch.setattr(rewriter, "build_pipeline", lambda options:
+                        PassManager([_ReplaceThenRaise()]
+                                    + build(options).passes))
+    result = optimize_binary(recursive, None, BoltOptions())
+    assert result.degraded is None
+    assert not result.context.functions["pick"].is_simple
+    contained = [d.render() for d in result.diagnostics
+                 if d.component == "pass:replace-then-raise"]
+    assert len(contained) == 1
+    assert "[pick]" in contained[0] and "RuntimeError: boom" in contained[0]
+    assert _body(result.binary, "pick") == _body(recursive, "pick")
+    assert run_binary(result.binary).output == run_binary(recursive).output
