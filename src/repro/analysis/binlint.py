@@ -25,11 +25,11 @@ those bytes.
 
 from bisect import bisect_right
 from itertools import accumulate
+from operator import attrgetter
 
 from repro.analysis.checkers import check_function, check_structure
 from repro.analysis.rules import Finding, LintReport, parse_suppressions
 from repro.analysis.validation import validate_translation
-from repro.belf import SymbolType
 from repro.core.emitter import COLD_SUFFIX
 from repro.core.validate import validate_execution
 from repro.isa.decoding import DecodeError, decode
@@ -58,9 +58,9 @@ def lint_binary(binary, options=None, suppress=()):
 
 
 def _func_symbols(binary):
-    return sorted((s for s in binary.symbols
-                   if s.type == SymbolType.FUNC and s.size > 0),
-                  key=lambda s: (s.value, s.size))
+    """The binary's function symbols in ``(value, size)`` order, the
+    order the overlap (BL104) and owner (BL106) checks walk."""
+    return sorted(binary.function_symbols(), key=attrgetter("value", "size"))
 
 
 def _lint_metadata(binary, report, decoded, kept=()):

@@ -1,6 +1,7 @@
 """The BELF container: sections + symbols + relocations + metadata."""
 
 import hashlib
+from bisect import bisect_right
 
 from repro.belf.constants import SymbolType
 from repro.belf.section import Section
@@ -26,6 +27,13 @@ class Binary:
     (``read_binary(write_binary(binary))``): the simulator's per-binary
     trace cache never re-checks it, and the aggregator's matching
     context notices only changes that :meth:`content_hash` covers.
+
+    The binary owns its address map, the one address -> function rule
+    that CFG building, perf2bolt's sample mapping, the unwinder and the
+    lint checks share: :meth:`function_symbols` is built on first use
+    and :meth:`function_at` bisects it.  :meth:`add_symbol` drops it;
+    whoever edits a symbol in place (its value, size or type) calls
+    :meth:`invalidate_symbol_cache`.
     """
 
     def __init__(self, kind="object", name=""):
@@ -43,6 +51,8 @@ class Binary:
         #: these into the executable's flat ``line_table``.
         self.func_line_tables = {}
         self._symbols_by_link_name = None
+        #: ``(starts, symbols)`` of :meth:`function_symbols`, or None.
+        self._function_index = None
         #: ``(content hash, BinaryContext)``: the CFGs the fleet
         #: aggregator matches shards against, built on first need
         #: (``repro.profiling.aggregate``).  The context is detached
@@ -68,7 +78,7 @@ class Binary:
     def section_at(self, address):
         """The ALLOC section mapping ``address``, or None."""
         for section in self.sections.values():
-            if section.is_alloc and section.contains(address):
+            if section.addr <= address < section.end and section.is_alloc:
                 return section
         return None
 
@@ -77,14 +87,13 @@ class Binary:
         section = self.section_at(address)
         if section is None:
             raise KeyError(f"address 0x{address:x} not mapped")
-        off = address - section.addr
-        return int.from_bytes(section.data[off : off + 8], "little", signed=False)
+        return section.read_word(address)
 
     # -- symbols ----------------------------------------------------------
 
     def add_symbol(self, symbol):
         self.symbols.append(symbol)
-        self._symbols_by_link_name = None
+        self.invalidate_symbol_cache()
         return symbol
 
     def _link_name_map(self):
@@ -99,18 +108,38 @@ class Binary:
         return self._link_name_map().get(link_name)
 
     def invalidate_symbol_cache(self):
+        """Drop the symbol indexes; call after editing a symbol in place."""
         self._symbols_by_link_name = None
+        self._function_index = None
 
     def functions(self):
         """All FUNC symbols."""
         return [s for s in self.symbols if s.type == SymbolType.FUNC]
 
+    def _function_map(self):
+        if self._function_index is None:
+            syms = tuple(sorted(
+                (s for s in self.symbols
+                 if s.type == SymbolType.FUNC and s.size > 0),
+                key=lambda s: s.value))
+            self._function_index = ([s.value for s in syms], syms)
+        return self._function_index
+
+    def function_symbols(self):
+        """The FUNC symbols with a size, by address (a stable sort, so
+        aliases keep their symbol-table order)."""
+        return self._function_map()[1]
+
     def function_at(self, address):
-        """The FUNC symbol whose range contains ``address``, or None."""
-        for sym in self.symbols:
-            if sym.type == SymbolType.FUNC and sym.contains(address):
-                return sym
-        return None
+        """The FUNC symbol whose range contains ``address``, or None:
+        the last of :meth:`function_symbols` starting at or below it,
+        if it reaches ``address``."""
+        starts, syms = self._function_map()
+        idx = bisect_right(starts, address) - 1
+        if idx < 0:
+            return None
+        sym = syms[idx]
+        return sym if sym.contains(address) else None
 
     # -- misc ---------------------------------------------------------------
 

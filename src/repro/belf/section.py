@@ -68,6 +68,11 @@ class Section:
         """Whether ``address`` falls inside this section's mapping."""
         return self.addr <= address < self.end
 
+    def read_word(self, address):
+        """The little-endian unsigned 8-byte word at mapped ``address``."""
+        off = address - self.addr
+        return int.from_bytes(self.data[off : off + 8], "little")
+
     def append(self, data):
         """Append bytes, returning the offset at which they were placed."""
         offset = len(self.data)

@@ -200,9 +200,8 @@ def cmd_objdump(args):
         if not section.is_exec:
             continue
         print(f"\nDisassembly of section {section.name}:")
-        funcs = sorted((s for s in exe.functions()
-                        if s.section == section.name and s.size > 0),
-                       key=lambda s: s.value)
+        funcs = [s for s in exe.function_symbols()
+                 if s.section == section.name]
         for sym in funcs:
             print(f"\n{sym.value:08x} <{sym.link_name()}>:")
             start = sym.value - section.addr

@@ -1,18 +1,16 @@
 """BinaryContext: everything BOLT knows about the input binary."""
 
-import bisect
-
-from repro.belf import RelocType, SymbolType
+from repro.belf import SymbolType
 from repro.core.diagnostics import Diagnostics
-from repro.linker import BUILTINS
 
 
 class BinaryContext:
     """Shared state for a rewriting session.
 
-    Indexes the input executable's symbols, relocations (if the binary
-    was linked with ``--emit-relocs``), frame records and line table for
-    fast lookup during disassembly and CFG construction.
+    Indexes the input executable's relocations (if the binary was
+    linked with ``--emit-relocs``), data symbols and PLT stubs for fast
+    lookup during disassembly and CFG construction; address -> function
+    and address -> section lookups go to ``binary`` itself.
     """
 
     def __init__(self, binary, options):
@@ -27,35 +25,17 @@ class BinaryContext:
         else:
             self.use_relocations = options.use_relocations and self.has_relocations
 
-        # function symbol index (sorted by address)
-        funcs = sorted(
-            (s for s in binary.symbols
-             if s.type == SymbolType.FUNC and s.size > 0),
-            key=lambda s: s.value,
-        )
-        self._func_starts = [s.value for s in funcs]
-        self._func_syms = funcs
-        self.func_by_name = {s.link_name(): s for s in funcs}
-
         # relocation index: (section name, offset) -> Relocation
         self.reloc_at = {}
         for reloc in binary.relocations:
             self.reloc_at[(reloc.section, reloc.offset)] = reloc
 
         # data symbol index for jump-table discovery
-        self.object_symbols = {
-            s.link_name(): s for s in binary.symbols
-            if s.type == SymbolType.OBJECT
-        }
         self.object_by_addr = {
-            s.value: s for s in self.object_symbols.values()}
+            s.value: s for s in binary.symbols if s.type == SymbolType.OBJECT}
 
         # PLT map: stub address -> (symbol name, final target address)
         self.plt_map = self._index_plt()
-
-        # builtin entry points (frozen once; ``is_builtin`` used to
-        # rebuild this set on every query)
-        self._builtin_addrs = frozenset(BUILTINS.values())
 
         self.functions = {}    # link name -> BinaryFunction (filled by discovery)
         self._build_id = None
@@ -70,8 +50,9 @@ class BinaryContext:
 
     def detach_binary(self):
         """Drop the reference to the input binary once everything needed
-        has been built from it.  The functions, symbol indexes and build
-        id stay; queries that read the binary itself stop working.  A
+        has been built from it.  The functions, relocation, data-symbol
+        and PLT indexes and the build id stay; queries that read the
+        binary itself (``function_entry_at``) stop working.  A
         detached context stored on its binary forms no reference cycle,
         so dropping the binary frees both at once."""
         self._build_id = self.build_id
@@ -79,25 +60,12 @@ class BinaryContext:
 
     # -- address queries ------------------------------------------------------
 
-    def function_symbol_at(self, address):
-        idx = bisect.bisect_right(self._func_starts, address) - 1
-        if idx < 0:
-            return None
-        sym = self._func_syms[idx]
-        return sym if sym.contains(address) else None
-
     def function_entry_at(self, address):
         """The function whose entry point is exactly ``address``."""
-        sym = self.function_symbol_at(address)
+        sym = self.binary.function_at(address)
         if sym is not None and sym.value == address:
             return sym
         return None
-
-    def section_at(self, address):
-        return self.binary.section_at(address)
-
-    def read_word(self, address):
-        return self.binary.read_word(address)
 
     # -- PLT ----------------------------------------------------------------------
 
@@ -125,9 +93,6 @@ class BinaryContext:
 
     def is_plt_stub(self, address):
         return address in self.plt_map
-
-    def is_builtin(self, address):
-        return address in self._builtin_addrs
 
     # -- function registry ------------------------------------------------------------
 

@@ -237,17 +237,22 @@ def _match_jump_table(context, func, insns, index):
     if mov.op != Op.MOV_RI32 or mov.regs[0] != loadidx.regs[1]:
         return None
     table_addr = mov.imm
+    section = context.binary.section_at(table_addr)
+    if section is None:
+        return None
+    words = (section.end - table_addr) // 8   # whole words left in section
     sym = context.object_by_addr.get(table_addr)
-    section = context.section_at(table_addr) if sym is None else None
     if sym is not None:
         count = sym.size // 8
+        if count > words:
+            return None
     else:
         # Heuristic fallback: read entries while they land in the body.
-        if section is None or section.is_exec:
+        if section.is_exec:
             return None
         count = 0
-        while section.contains(table_addr + 8 * count + 7):
-            word = context.read_word(table_addr + 8 * count)
+        while count < words:
+            word = section.read_word(table_addr + 8 * count)
             if not func.address <= word < func.address + func.size:
                 break
             count += 1
@@ -257,13 +262,11 @@ def _match_jump_table(context, func, insns, index):
             return None
     entries = []
     for i in range(count):
-        word = context.read_word(table_addr + 8 * i)
+        word = section.read_word(table_addr + 8 * i)
         if not func.address <= word < func.address + func.size:
             return None
         entries.append(word)
-    section = context.section_at(table_addr)
-    return JumpTable(table_addr, 8 * count, entries,
-                     section.name if section else ".rodata")
+    return JumpTable(table_addr, 8 * count, entries, section.name)
 
 
 def _symbolize_external(context, func, insn, tail):

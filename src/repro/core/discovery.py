@@ -6,32 +6,26 @@ metadata, and symbol sizes missing from the table (hand-written
 assembly often omits them) are recovered from the next symbol's start.
 """
 
-from repro.belf import SymbolType
 from repro.core.binary_function import BinaryFunction
 
 
 def discover_functions(context):
     """Populate ``context.functions`` with undisassembled shells."""
     binary = context.binary
-    text_sections = [s for s in binary.sections.values()
-                     if s.is_exec and s.name != ".plt"]
-    func_syms = sorted(
-        (s for s in binary.symbols if s.type == SymbolType.FUNC),
-        key=lambda s: s.value,
-    )
+    # Its own walk, not ``binary.function_symbols()``: size-0 symbols
+    # count here.
+    func_syms = sorted(binary.functions(), key=lambda s: s.value)
     for index, sym in enumerate(func_syms):
+        section = binary.section_at(sym.value)
+        if section is None or not section.is_exec:
+            continue
         size = sym.size
         if size == 0:
             # Hybrid recovery: extend to the next function or section end.
             if index + 1 < len(func_syms):
                 size = func_syms[index + 1].value - sym.value
             else:
-                section = binary.section_at(sym.value)
-                if section is not None:
-                    size = section.end - sym.value
-        section = binary.section_at(sym.value)
-        if section is None or not section.is_exec:
-            continue
+                size = section.end - sym.value
         func = BinaryFunction(sym.link_name(), sym.value, size,
                               section=section.name)
         func.raw_bytes = bytes(

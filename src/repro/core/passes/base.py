@@ -86,7 +86,10 @@ class PassManager:
         self.passes = passes
         self.stats = {}
 
-    def run(self, context):
+    def run(self, context, dyno_before=None):
+        """Run every pass; ``dyno_before`` is the context's dyno stats
+        as they stand, if the caller has them (a timed run computes them
+        otherwise, as the base of the first pass's delta)."""
         timing = getattr(context, "timing", None)
         time_passes = timing is not None and timing.time_passes
         if time_passes:
@@ -94,7 +97,8 @@ class PassManager:
             # pass time: see ``TimingReport.record_phase``.
             from repro.core.dyno_stats import compute_dyno_stats
             started = time.perf_counter()
-            dyno_prev = compute_dyno_stats(context)
+            dyno_prev = (compute_dyno_stats(context) if dyno_before is None
+                         else dyno_before)
             dyno_seconds = time.perf_counter() - started
         for pass_ in self.passes:
             started = time.perf_counter() if time_passes else None

@@ -36,14 +36,14 @@ class SimplifyRoLoads(BinaryPass):
             for i, insn in enumerate(insns):
                 if insn.op != Op.LOAD_ABS or insn.sym is not None:
                     continue
-                section = context.section_at(insn.addr)
+                section = context.binary.section_at(insn.addr)
                 if (section is None or section.is_writable
                         or section.is_exec
                         or not section.name.startswith(".rodata")):
                     continue
                 if insn.addr in table_addrs:
                     continue  # jump tables get rewritten; never fold them
-                value = context.read_word(insn.addr)
+                value = section.read_word(insn.addr)
                 if value >= 1 << 63:
                     value -= 1 << 64
                 if not _I32_MIN <= value <= _I32_MAX:

@@ -265,7 +265,7 @@ def _optimize_once(binary, profile, options):
         dyno_before = compute_dyno_stats(context)
     manager = build_pipeline(options)
     with _phase(timing, "optimization passes"):
-        pass_stats = manager.run(context)
+        pass_stats = manager.run(context, dyno_before)
     if options.lint not in (None, "none", False):
         with _phase(timing, "lint gate"):
             _lint_gate(context)
@@ -617,7 +617,7 @@ def _rewrite(context, result):
     _emit_line_table(context, out, fragments)
 
     # 11. Entry point.
-    entry_sym = context.function_symbol_at(binary.entry)
+    entry_sym = binary.function_at(binary.entry)
     if entry_sym is None:
         raise RewriteError("entry point not inside any function")
     entry_func = context.functions[entry_sym.link_name()].survivor()

@@ -269,5 +269,5 @@ def unexecuted_functions(binary, inputs=None, max_instructions=10_000_000):
     """FUNC symbols never fetched during a run (safe corruption targets)."""
     hot = executed_functions(binary, inputs=inputs,
                              max_instructions=max_instructions)
-    return sorted(s.link_name() for s in binary.functions()
-                  if s.size > 0 and s.link_name() not in hot)
+    return sorted(s.link_name() for s in binary.function_symbols()
+                  if s.link_name() not in hot)

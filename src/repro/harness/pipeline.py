@@ -11,7 +11,6 @@ from repro.core import BoltOptions, optimize_binary
 from repro.core.hfsort import CallGraph, hfsort, hfsort_plus
 from repro.linker import link
 from repro.profiling import (
-    AddressMapper,
     SamplingConfig,
     aggregate_shards,
     profile_binary,
@@ -160,8 +159,7 @@ def _map_to_source(exe, bin_profile):
     """AutoFDO: binary-level samples -> (file, line) counts via debug
     info — the lossy mapping of paper section 2.2."""
     line_counts = {}
-    mapper = AddressMapper(exe)
-    starts = {sym.link_name(): sym.value for sym in mapper.funcs}
+    starts = {sym.link_name(): sym.value for sym in exe.function_symbols()}
     if exe.line_table is None:
         return SourceProfile({})
 

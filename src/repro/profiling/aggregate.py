@@ -15,7 +15,6 @@ unchanged shards, and the CFG-bearing context shards are matched
 against is built once per binary, on the first shard that needs it.
 """
 
-import bisect
 import json
 import os
 import pathlib
@@ -24,7 +23,6 @@ from collections import Counter
 from itertools import chain
 from operator import itemgetter
 
-from repro.belf import SymbolType
 from repro.profiling.events import Sampler, SamplingConfig
 from repro.profiling.merge import (
     ShardStats,
@@ -43,16 +41,11 @@ from repro.profiling.profile import BinaryProfile
 
 
 class AddressMapper:
-    """Maps virtual addresses to (function link name, offset)."""
+    """Maps virtual addresses to (function link name, offset) through
+    the binary's own address map (``Binary.function_at``)."""
 
     def __init__(self, binary):
-        funcs = sorted(
-            (s for s in binary.symbols
-             if s.type == SymbolType.FUNC and s.size > 0),
-            key=lambda s: s.value,
-        )
-        self.starts = [s.value for s in funcs]
-        self.funcs = funcs
+        self._function_at = binary.function_at
         # A sampled run maps hundreds of thousands of LBR endpoints but
         # only a few thousand distinct addresses; the memo lives and
         # dies with the mapper.
@@ -63,12 +56,8 @@ class AddressMapper:
             return self._memo[addr]
         except KeyError:
             pass
-        loc = None
-        idx = bisect.bisect_right(self.starts, addr) - 1
-        if idx >= 0:
-            sym = self.funcs[idx]
-            if sym.contains(addr):
-                loc = (sym.link_name(), addr - sym.value)
+        sym = self._function_at(addr)
+        loc = None if sym is None else (sym.link_name(), addr - sym.value)
         self._memo[addr] = loc
         return loc
 

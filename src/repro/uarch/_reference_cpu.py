@@ -204,7 +204,7 @@ class ReferenceCPU:
         while True:
             if ra == EXIT_MAGIC:
                 raise MachineFault(f"uncaught exception (value={value})")
-            sym = self.machine.function_at(ra - 1)
+            sym = self.machine.binary.function_at(ra - 1)
             if sym is None:
                 raise MachineFault(
                     f"cannot unwind through unknown code at {ra:#x}")

@@ -110,7 +110,6 @@ class Machine:
         #: tells code-caching engines their pre-decoded traces are stale.
         self.code_dirty = False
         self.load(binary)
-        self._func_index = None
 
     def load(self, binary):
         if not binary.is_executable:
@@ -169,25 +168,7 @@ class Machine:
         idx = bisect_right(self._exec_starts, addr) - 1
         return idx >= 0 and addr < self._exec_ends[idx]
 
-    # -- symbol helpers (used by the unwinder and profilers) -----------------
-
-    def _build_func_index(self):
-        funcs = sorted(
-            (s for s in self.binary.functions() if s.size > 0),
-            key=lambda s: s.value,
-        )
-        self._func_index = ([s.value for s in funcs], funcs)
-
-    def function_at(self, addr):
-        """FUNC symbol covering ``addr`` (binary search), or None."""
-        if self._func_index is None:
-            self._build_func_index()
-        starts, funcs = self._func_index
-        idx = bisect_right(starts, addr) - 1
-        if idx < 0:
-            return None
-        sym = funcs[idx]
-        return sym if sym.contains(addr) else None
+    # -- global arrays (workload inputs and PGO counters) --------------------
 
     def poke_array(self, link_name, values):
         """Write 64-bit values into a global array (workload inputs)."""

@@ -8,8 +8,11 @@ ext-TSP's O(chains^2) merge loop, the ``copy.deepcopy``-based
 per-function snapshot (and the ``_attempt`` that took it before every
 pass), the rebuild-the-key-list-per-query line table lookup, the
 shrink-wrapping scan that rebuilt use/def sets per saved register,
-the ICF sweep that keyed every function, and the per-instruction
-BL001/BL002/BL003 lint checkers that solved once per saved register.
+the ICF sweep that keyed every function, the per-instruction
+BL001/BL002/BL003 lint checkers that solved once per saved register,
+and the address -> function bisect that ``BinaryContext``,
+``AddressMapper`` and ``Machine`` each built for themselves (with the
+flag-first ``section_at`` scan) before ``Binary`` owned the address map.
 
 They are kept for two reasons:
 
@@ -17,8 +20,9 @@ They are kept for two reasons:
   *identical* results; ``tests/test_hfsort.py`` checks the orders on
   randomized graphs (hypothesis), ``tests/test_value_semantics.py`` the
   per-opcode tables and ICF keys, ``tests/test_kernel_equivalence.py``
-  the shrink-wrapping scan and ICF folds on every preset, and
-  ``tests/test_analysis_summaries.py`` the BL001/BL002/BL003 checkers.
+  the shrink-wrapping scan and ICF folds on every preset,
+  ``tests/test_analysis_summaries.py`` the BL001/BL002/BL003 checkers,
+  and ``tests/test_belf.py`` the address map on random symbol tables.
 * **Benchmark baseline** — ``benchmarks/test_processing_time.py``
   measures the fast kernels (and the end-to-end pipeline) against
   these to produce the ``BENCH_pr3.json`` trajectory, reproducing the
@@ -39,6 +43,7 @@ from repro.analysis.absint import (
 )
 from repro.analysis.checkers import _is_cold_fragment, _is_tail_call
 from repro.analysis.rules import Finding
+from repro.belf import SymbolType
 from repro.core.dataflow import (
     FLAGS,
     UnmodeledOpcodeError,
@@ -292,6 +297,32 @@ def attempt_deepcopy_reference(self, context, func):
         restore_function_deepcopy(func, snapshot)
         contain_function_failure(context, func, f"pass:{self.name}", exc)
         return None
+
+
+def function_at_reference(binary, address):
+    """The per-module address -> function index, rebuilt per query: the
+    sized FUNC symbols stably sorted by address, then a bisect."""
+    import bisect
+
+    funcs = sorted(
+        (s for s in binary.symbols
+         if s.type == SymbolType.FUNC and s.size > 0),
+        key=lambda s: s.value,
+    )
+    starts = [s.value for s in funcs]
+    idx = bisect.bisect_right(starts, address) - 1
+    if idx < 0:
+        return None
+    sym = funcs[idx]
+    return sym if sym.contains(address) else None
+
+
+def section_at_reference(binary, address):
+    """The linear section scan that tested the ALLOC flag first."""
+    for section in binary.sections.values():
+        if section.is_alloc and section.contains(address):
+            return section
+    return None
 
 
 def linetable_lookup_reference(table, addr):

@@ -22,6 +22,10 @@ from repro.belf import (
     read_binary,
     BelfFormatError,
 )
+from tests.oracles.reference_kernels import (
+    function_at_reference,
+    section_at_reference,
+)
 
 
 def make_sample_binary():
@@ -99,6 +103,15 @@ def test_binary_lookup():
     assert binary.function_at(0x20000) is None
     assert len(binary.functions()) == 2
     assert binary.text_size() == 4
+    # An exact alias (a linker ICF fold): the last alias in symbol-table
+    # order owns the address, as every address -> function lookup agrees.
+    binary.add_symbol(Symbol("helper_alias", value=0x10002, size=2,
+                             type=SymbolType.FUNC, section=".text"))
+    assert binary.function_at(0x10002).name == "helper_alias"
+    assert binary.function_at(0x10003).name == "helper_alias"
+    assert binary.function_at(0x10001).name == "main"
+    assert [s.name for s in binary.function_symbols()] == [
+        "main", "helper", "helper_alias"]
 
 
 def test_duplicate_section_rejected():
@@ -203,6 +216,75 @@ def test_line_table_between_is_the_filtered_scan(rows, lo, width):
         table.add(addr, "f.bc", line)
     assert table.between(lo, lo + width) == [
         entry for entry in table if lo <= entry.addr < lo + width]
+
+
+_SECTION_FLAGS = (
+    SectionFlag.NONE, SectionFlag.EXEC, SectionFlag.ALLOC,
+    SectionFlag.ALLOC | SectionFlag.EXEC, SectionFlag.ALLOC | SectionFlag.WRITE)
+
+
+@st.composite
+def address_maps(draw):
+    """A binary with overlapping ALLOC and non-ALLOC (PROGBITS and
+    NOBITS) sections, and symbols of every type drawn from a small pool
+    of spans, so exact aliases, overlaps and size-0 symbols are common."""
+    binary = Binary(kind="exec")
+    for i, (addr, size, flags, nobits) in enumerate(draw(st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 64),
+                      st.sampled_from(_SECTION_FLAGS), st.booleans()),
+            max_size=5))):
+        binary.add_section(Section(
+            f".s{i}", type=SectionType.NOBITS if nobits else
+            SectionType.PROGBITS, flags=flags, addr=addr,
+            data=None if nobits else bytes(size),
+            mem_size=size if nobits else None))
+    spans = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 40)),
+                          min_size=1, max_size=6))
+    for i, (kind, span) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(list(SymbolType)),
+                      st.sampled_from(spans)), max_size=12))):
+        binary.add_symbol(Symbol(f"s{i}", value=span[0], size=span[1],
+                                 type=kind))
+    return binary
+
+
+def _assert_address_map(binary, probes):
+    edges = {a + d for s in binary.symbols for a in (s.value, s.end)
+             for d in (-1, 0)}
+    edges |= {a + d for s in binary.sections.values()
+              for a in (s.addr, s.end) for d in (-1, 0)}
+    for address in sorted(edges.union(probes)):
+        assert (binary.function_at(address)
+                is function_at_reference(binary, address)), address
+        assert (binary.section_at(address)
+                is section_at_reference(binary, address)), address
+
+
+@given(binary=address_maps(), probes=st.lists(st.integers(-4, 400)))
+def test_prop_address_map_matches_reference(binary, probes):
+    _assert_address_map(binary, probes)
+    assert list(binary.function_symbols()) == sorted(
+        (s for s in binary.symbols
+         if s.type == SymbolType.FUNC and s.size > 0),
+        key=lambda s: s.value)
+
+
+@given(binary=address_maps(), probes=st.lists(st.integers(-4, 400)),
+       added=st.tuples(st.integers(0, 300), st.integers(0, 40),
+                       st.sampled_from(list(SymbolType))),
+       edit=st.tuples(st.integers(0, 11), st.integers(0, 40)))
+def test_prop_address_map_follows_symbol_edits(binary, probes, added, edit):
+    """The cached map is rebuilt after ``add_symbol`` and after an
+    in-place size edit announced by ``invalidate_symbol_cache`` (the
+    ``wrong-symbol-size`` fault's path)."""
+    _assert_address_map(binary, probes)
+    value, size, kind = added
+    binary.add_symbol(Symbol("added", value=value, size=size, type=kind))
+    _assert_address_map(binary, probes)
+    index, size = edit
+    binary.symbols[index % len(binary.symbols)].size = size
+    binary.invalidate_symbol_cache()
+    _assert_address_map(binary, probes)
 
 
 def test_line_table_empty_lookup():

@@ -117,6 +117,37 @@ def test_per_pass_dyno_walks_are_their_own_phase(baseline):
                                            for p in result.timing.phases]
 
 
+def test_traced_job_walks_dyno_stats_once_per_pass(baseline, monkeypatch):
+    """A traced job computes the whole-binary dyno stats once before the
+    passes, once after each pass and once after the lint gate: the input
+    stats are the first pass's baseline, not a second walk."""
+    import repro.core.dyno_stats as dyno_stats
+    import repro.core.rewriter as rewriter
+
+    exe, _, profile = baseline
+    options = BoltOptions(time_opts=True)
+    calls = []
+    real = dyno_stats.compute_dyno_stats
+
+    def counting(context):
+        calls.append(context)
+        return real(context)
+
+    monkeypatch.setattr(dyno_stats, "compute_dyno_stats", counting)
+    monkeypatch.setattr(rewriter, "compute_dyno_stats", counting)
+    result = optimize_binary(exe, profile, options)
+    assert result.degraded is None  # one attempt
+    assert len(calls) == len(result.timing.passes) + 2
+    # Each pass's delta is what a fresh input walk would give.
+    run = PassManager.run
+    monkeypatch.setattr(PassManager, "run",
+                        lambda self, context, dyno_before=None:
+                        run(self, context))
+    again = optimize_binary(exe, profile, options)
+    assert ([(p.name, p.dyno_delta) for p in again.timing.passes]
+            == [(p.name, p.dyno_delta) for p in result.timing.passes])
+
+
 def test_timing_json_round_trips(baseline):
     exe, _, profile = baseline
     result = optimize_binary(

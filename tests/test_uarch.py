@@ -323,11 +323,14 @@ def test_counters_as_dict_and_rates():
 def test_machine_function_at():
     exe, _ = build_executable([("t", "func main() { return helper(); }\n"
                                      "func helper() { return 7; }")])
+    # The unwinder resolves return addresses through the loaded image's
+    # own address map.
     machine = Machine(exe)
+    assert machine.binary is exe
     sym = exe.get_symbol("helper")
-    assert machine.function_at(sym.value).name == "helper"
-    assert machine.function_at(sym.value + sym.size - 1).name == "helper"
-    assert machine.function_at(0x20) is None
+    assert exe.function_at(sym.value).name == "helper"
+    assert exe.function_at(sym.value + sym.size - 1).name == "helper"
+    assert exe.function_at(0x20) is None
 
 
 def test_uarch_config_custom():
